@@ -15,7 +15,10 @@ the Sec. 2.6 proofs rest on:
 * **packet conservation** — every packet ever enqueued is in exactly one
   of: a class queue, a transit buffer, the air (one-slot flight), delivered,
   orphaned or lost.  Nothing vanishes, nothing duplicates;
-* **membership coherence** — ``order``/position map/alive flags agree.
+* **membership coherence** — ``order``/position map/alive flags agree;
+* **active-set coverage** — every member with buffered work is in the
+  ring's active set, so the dataplane (which visits only that set) cannot
+  strand a packet.
 
 The checker is used by the fuzz/soak tests and can be attached in any
 simulation at ~20% overhead.
@@ -75,6 +78,7 @@ class RingInvariantChecker:
         self._check_quota_discipline(t)
         self._check_sat_singleton(t)
         self._check_membership(t)
+        self._check_active_set(t)
         self._check_conservation(t)
 
     # ------------------------------------------------------------------
@@ -125,6 +129,23 @@ class RingInvariantChecker:
                 self._fail(f"t={t}: station {sid} order/pos mismatch")
         if len(set(net.order)) != len(net.order):
             self._fail(f"t={t}: duplicate station in ring order")
+
+    def _check_active_set(self, t: float) -> None:
+        """Every member with buffered work is bound to its ring position
+        and in the ring's active set — the dataplane visits no one else.
+        Extra (drained) entries are harmless and allowed."""
+        net = self.net
+        active = net._active
+        for idx, sid in enumerate(net.order):
+            st = net.stations[sid]
+            if not (st.transit or st.rt_queue or st.as_queue or st.be_queue):
+                continue
+            if st._ring_pos != idx or st._active is not active:
+                self._fail(f"t={t}: station {sid} not bound to ring "
+                           f"position {idx}")
+            elif idx not in active:
+                self._fail(f"t={t}: station {sid} has buffered work but is "
+                           f"not in the active set")
 
     def _check_conservation(self, t: float) -> None:
         net = self.net

@@ -11,6 +11,11 @@ has priority, a station inserts its own packets (per the Sec. 2.2 send
 algorithm) only when its insertion buffer is empty, and the destination
 strips packets (spatial reuse).
 
+A station with nothing buffered cannot occupy a slot, so each tick visits
+only the *active set*: the ring positions whose station holds transit or
+class-queue packets, in ring order (see docs/KERNEL.md, "Active set and
+deferred timers").
+
 The SAT control signal travels in the same direction, one hop per
 ``sat_hop_slots`` slots, and is seized by not-satisfied stations per the
 SAT algorithm.  The Random Access Period (join), graceful/ungraceful leave
@@ -135,6 +140,14 @@ class WRTRingNetwork:
         self._sat_bound_cache = None
         self._sat_seq = 0
         self.rotation_log = RotationLog()
+        #: ring positions (indices into ``_members``) whose station has
+        #: buffered work — a superset: drained entries may linger until the
+        #: station's next visit.  Updated in place, never rebound, because
+        #: member stations hold a reference to it.
+        self._active: set = set()
+        #: decision codes of the current slot, one per visited station
+        #: (reused buffer, refilled by ``_decide_slot``)
+        self._slot_picks: List[int] = []
         #: struct-of-arrays mirror of the hot-path station state; rebound on
         #: every membership change, consumed by the batched kernel
         self.columns = ColumnState(self)
@@ -384,26 +397,33 @@ class WRTRingNetwork:
     def _refresh_members(self) -> None:
         """Rebuild the hot-path member cache after a membership change:
         the in-order station list (so the per-slot loops stop doing a dict
-        lookup per station), each member's successor hint + non-successor
-        recount, the preallocated per-slot scratch buffers, and the
+        lookup per station), each member's ring position, successor and
+        non-successor recount, the active set (from the buffers), and the
         columnar binding."""
         members = [self.stations[sid] for sid in self.order]
         self._members = members
         n = len(members)
+        active = self._active
+        active.clear()
         for st in self.stations.values():
             st._succ_sid = None
+            st._succ = None
+            st._ring_pos = -1
+            st._active = None
         for i, st in enumerate(members):
-            st._succ_sid = members[(i + 1) % n].sid
+            succ = members[(i + 1) % n]
+            st._succ = succ
+            st._succ_sid = succ.sid
+            st._ring_pos = i
+            st._active = active
+            if st.transit or st.rt_queue or st.as_queue or st.be_queue:
+                active.add(i)
         for st in self.stations.values():
             succ = st._succ_sid
             st._nonsucc = sum(
                 1 for q in (st.rt_queue, st.as_queue, st.be_queue)
                 for p in q if p.dst != succ)
         self.columns.bind_ring()
-        # per-slot scratch, reused every tick (decision codes + in-flight
-        # slot contents) instead of being reallocated
-        self._slot_picks: List[int] = [0] * n
-        self._slot_outputs: List[Optional[Packet]] = [None] * n
 
     def insert_station(self, new_sid: int, after: int, quota: QuotaConfig,
                        code: Optional[int] = None) -> WRTRingStation:
@@ -515,68 +535,82 @@ class WRTRingNetwork:
 
     def _dataplane(self, t: float) -> None:
         members = self._members
+        active = self._active
+        if len(active) != len(members):
+            # a station outside the active set has nothing buffered, so it
+            # would only idle; sorting keeps ring (= legacy emit) order
+            members = [members[i] for i in sorted(active)]
         self._decide_slot(members)
         self._apply_slot(t, members)
 
     def _decide_slot(self, members: List[WRTRingStation]) -> None:
-        """Decision layer: what occupies each ring position this slot —
+        """Decision layer: what each visited station puts in its slot —
         transit forwarding, one of the station's own classes, or nothing.
-        Pure: no queue pops, no quota spend, no emits; writes decision
-        codes into the preallocated ``_slot_picks`` buffer."""
+        Pure: no queue pops, no quota spend, no emits; refills the reused
+        ``_slot_picks`` buffer with one decision code per visited station."""
         picks = self._slot_picks
+        picks.clear()
+        pick = picks.append
+        idle, transit_code = self._PICK_IDLE, self._PICK_TRANSIT
         transit_first = self.config.transit_priority
-        for idx, st in enumerate(members):
+        for st in members:
             if not st._alive:
-                picks[idx] = self._PICK_IDLE
+                pick(idle)
             elif transit_first and st.transit:
-                picks[idx] = self._PICK_TRANSIT
+                pick(transit_code)
             elif not st._leaving:
                 service = st._decide_class()
                 if service is not None:
-                    picks[idx] = service
+                    pick(service)
                 elif st.transit:
-                    picks[idx] = self._PICK_TRANSIT
+                    pick(transit_code)
                 else:
-                    picks[idx] = self._PICK_IDLE
+                    pick(idle)
             elif st.transit:
-                picks[idx] = self._PICK_TRANSIT
+                pick(transit_code)
             else:
-                picks[idx] = self._PICK_IDLE
+                pick(idle)
 
     def _apply_slot(self, t: float, members: List[WRTRingStation]) -> None:
         """Effects layer: spend the decided authorizations (phase A) and
         advance every occupied slot one hop simultaneously (phase B),
-        emitting in exactly the legacy order."""
+        emitting in exactly the legacy order.
+
+        ``members`` are the visited stations in ring order; each sends to
+        its ring successor.  A visited station leaves the active set once
+        its slot is spent and it has nothing buffered: checked in phase A,
+        which is equivalent to checking after phase B because phase B only
+        appends (and a receiver it appends to re-joins)."""
         picks = self._slot_picks
-        outputs = self._slot_outputs
-        n = len(members)
+        active = self._active
+        outputs: List[Optional[Packet]] = []
+        send = outputs.append
 
         # phase A: pop the decided transmissions
-        for idx in range(n):
-            code = picks[idx]
+        for st, code in zip(members, picks):
             if code < 0:
-                outputs[idx] = None
+                send(None)
             elif code == self._PICK_TRANSIT:
-                outputs[idx] = members[idx].transit.popleft()
+                send(st.transit.popleft())
             else:
-                st = members[idx]
                 pkt = st._pop_class(COLUMN_CLASSES[code])
                 pkt.t_send = t
                 self._ev_transmit(t, st.sid, pkt)
-                outputs[idx] = pkt
+                send(pkt)
+            if not (st.transit or st.rt_queue or st.as_queue or st.be_queue):
+                active.discard(st._ring_pos)
 
+        n = len(self._members)
         validate = self.config.validate_phy and self.channel is not None
         enforce = self.config.enforce_radio_links and self._graph_provider is not None
         imp = self.impairments
 
         # phase B: simultaneous one-hop advance
-        for idx in range(n):
-            pkt = outputs[idx]
+        for st, pkt in zip(members, outputs):
             if pkt is None:
                 continue
-            outputs[idx] = None   # the scratch buffer must not pin packets
-            src_sid = members[idx].sid
-            receiver = members[(idx + 1) % n]
+            src_sid = st.sid
+            receiver = st._succ
             dst_sid = receiver.sid
             if validate:
                 self.channel.transmit(Frame(
@@ -616,10 +650,12 @@ class WRTRingNetwork:
                 self._ev_orphaned(t, pkt, "ttl")
             else:
                 receiver.transit.append(pkt)
+                active.add(receiver._ring_pos)
 
         # slot-occupancy sampling for the timeline exporter: subscribed only
         # while the opt-in trace category is enabled, so steady-state runs
-        # skip the O(n) busy count via the emitter's falsiness
+        # skip the busy count via the emitter's falsiness (stations outside
+        # the active set idle, so counting the visited picks is exact)
         if self._ev_occupancy:
             busy = sum(1 for c in picks if c >= 0)
             self._ev_occupancy(t, busy, n)

@@ -50,6 +50,12 @@ class WRTRingStation:
         #: safe toward the scalar path.
         self._succ_sid: Optional[int] = None
         self._nonsucc = 0
+        #: ring binding, set by ``WRTRingNetwork._refresh_members``: the
+        #: successor station, this station's ring position and the ring's
+        #: active set, which an enqueue joins (None while standalone)
+        self._succ: Optional["WRTRingStation"] = None
+        self._ring_pos = -1
+        self._active: Optional[set] = None
         self._quota = quota
         self.rt_queue: Deque[Packet] = deque()
         self.as_queue: Deque[Packet] = deque()
@@ -130,6 +136,8 @@ class WRTRingStation:
         queue.append(packet)
         if packet.dst != self._succ_sid:
             self._nonsucc += 1
+        if self._active is not None:
+            self._active.add(self._ring_pos)
         self.enqueued[packet.service] += 1
         self._ev_enqueued(now, self.sid, packet)
 

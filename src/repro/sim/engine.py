@@ -10,11 +10,27 @@ deterministic, reproducible runs — a hard requirement for validating the
 paper's worst-case bounds, where a single out-of-order tie can change a
 measured rotation time by a slot.
 
+Heap entries are plain ``(time, priority, seq, handle)`` tuples, so heap
+ordering is a C-level tuple comparison (``seq`` is unique, so the handle is
+never compared).  The :class:`EventHandle` carries the authoritative
+``time``/``priority``/``seq`` of its event.
+
 Cancellation is O(1) (heap entries are tombstoned), but tombstones no longer
 linger: the engine counts them and lazily compacts the heap when they
 outnumber the live events, so :meth:`Engine.pending_count` is O(1) and
 :meth:`Engine.peek` reflects live events only — both are load-bearing for the
 batched kernel's quiescence test (see :mod:`repro.kernel`).
+
+Deferral: :meth:`Engine.defer` moves a pending event to a *later* time in
+O(1).  It takes a fresh sequence number exactly as cancel-plus-reschedule
+would (so tie order is unchanged) and updates the handle in place; the heap
+entry is left where it is.  When that entry reaches the top of the heap its
+``seq`` no longer matches the handle's, and :meth:`run`, :meth:`step` and
+:meth:`peek` re-push it at the handle's current key.  Such a re-push is not
+an event: it is not counted in ``events_executed``, not charged to a
+``max_events`` budget, and counted in :attr:`Engine.stale_repushes`
+instead.  Watchdog timers restarted on every SAT release use this rather
+than a cancel and a fresh push each time (see :class:`repro.sim.timers.Timer`).
 """
 
 from __future__ import annotations
@@ -45,6 +61,7 @@ class EventHandle:
     Returned by :meth:`Engine.schedule` / :meth:`Engine.schedule_at`.  Calling
     :meth:`cancel` prevents the callback from running; cancellation is O(1)
     (the heap entry is tombstoned, not removed) and idempotent.
+    :meth:`Engine.defer` moves the event later in place.
     """
 
     __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled",
@@ -73,9 +90,6 @@ class EventHandle:
         if self.engine is not None:
             self.engine._note_cancelled()
 
-    def __lt__(self, other: "EventHandle") -> bool:  # heapq tie-breaking
-        return (self.time, self.priority, self.seq) < (other.time, other.priority, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<EventHandle t={self.time} prio={self.priority} {state}>"
@@ -103,12 +117,16 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._agenda: list[EventHandle] = []
+        #: heap of ``(time, priority, seq, handle)`` entries
+        self._agenda: list[tuple] = []
         self._seq: int = 0
         self._cancelled: int = 0
         self._running: bool = False
         self._stopped: bool = False
         self.events_executed: int = 0
+        #: heap entries of deferred events re-pushed at their new key (not
+        #: events: never in ``events_executed`` nor a ``max_events`` budget)
+        self.stale_repushes: int = 0
         #: slot-grid quantum for schedule-time snapping.  ``None`` (default)
         #: keeps exact float semantics; the ring sets it to its slot time so
         #: chained fractional delays cannot drift off the slot grid (which
@@ -171,9 +189,34 @@ class Engine:
         if not callable(callback):
             raise SchedulingError(f"callback {callback!r} is not callable")
         self._seq += 1
-        handle = EventHandle(time, priority, self._seq, callback, args, self)
-        heapq.heappush(self._agenda, handle)
+        seq = self._seq
+        handle = EventHandle(time, priority, seq, callback, args, self)
+        heapq.heappush(self._agenda, (time, priority, seq, handle))
         return handle
+
+    def defer(self, handle: EventHandle, later_time: float) -> None:
+        """Move the pending event ``handle`` to ``later_time`` (no earlier
+        than its current time).
+
+        Equivalent to ``handle.cancel()`` followed by ``schedule_at`` with
+        the same callback and priority — it consumes one fresh sequence
+        number, so ties order exactly as the reschedule would — except that
+        the handle is updated in place and nothing is pushed: the old heap
+        entry is re-pushed at the new key when it surfaces (see the module
+        docstring).
+        """
+        if handle.cancelled or handle.engine is not self:
+            raise SchedulingError(f"cannot defer {handle!r}: not pending here")
+        quantum = self.slot_quantum
+        if quantum is not None:
+            later_time = self.snap_to_grid(later_time, quantum)
+        if later_time < handle.time:
+            raise SchedulingError(
+                f"cannot defer to {later_time!r}, before the event's "
+                f"current time {handle.time!r}")
+        self._seq += 1
+        handle.seq = self._seq
+        handle.time = later_time
 
     # ------------------------------------------------------------------
     # agenda hygiene
@@ -184,30 +227,44 @@ class Engine:
         self._cancelled += 1
         agenda = self._agenda
         if len(agenda) >= _COMPACT_MIN and self._cancelled * 2 > len(agenda):
-            # in-place so aliases held by a running run() loop stay valid
-            agenda[:] = [h for h in agenda if not h.cancelled]
+            # in-place so aliases held by a running run() loop stay valid;
+            # deferred entries are rewritten at their current key
+            agenda[:] = [(h.time, h.priority, h.seq, h)
+                         for _, _, _, h in agenda if not h.cancelled]
             heapq.heapify(agenda)
             self._cancelled = 0
+
+    def _settle_top(self) -> None:
+        """Drop tombstones and re-push deferred entries until the top of
+        the agenda (if any) is a live entry at its current key."""
+        agenda = self._agenda
+        while agenda:
+            _, _, seq, handle = agenda[0]
+            if handle.cancelled:
+                heapq.heappop(agenda)
+                self._cancelled -= 1
+            elif seq != handle.seq:
+                heapq.heapreplace(agenda, (handle.time, handle.priority,
+                                           handle.seq, handle))
+                self.stale_repushes += 1
+            else:
+                return
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if the agenda is empty."""
+        self._settle_top()
         agenda = self._agenda
-        while agenda and agenda[0].cancelled:
-            heapq.heappop(agenda)
-            self._cancelled -= 1
-        return agenda[0].time if agenda else None
+        return agenda[0][0] if agenda else None
 
     def step(self) -> bool:
         """Execute the single next event.  Returns False if nothing is pending."""
+        self._settle_top()
         agenda = self._agenda
-        while agenda:
-            handle = heapq.heappop(agenda)
-            if handle.cancelled:
-                self._cancelled -= 1
-                continue
+        if agenda:
+            handle = heapq.heappop(agenda)[3]
             self.now = handle.time
             self.events_executed += 1
             # mark consumed so a late cancel() of this handle is a no-op and
@@ -261,17 +318,23 @@ class Engine:
             sim_start = self.now
         try:
             while agenda and not self._stopped:
-                handle = agenda[0]
+                time, _, seq, handle = agenda[0]
                 if handle.cancelled:
                     heapq.heappop(agenda)
                     self._cancelled -= 1
                     continue
-                if until is not None and handle.time > until:
-                    break
+                if until is not None and time > until:
+                    break   # a deferred entry's real time is later still
+                if seq != handle.seq:
+                    # deferred: re-push at the current key, not an event
+                    heapq.heapreplace(agenda, (handle.time, handle.priority,
+                                               handle.seq, handle))
+                    self.stale_repushes += 1
+                    continue
                 if max_events is not None and executed >= max_events:
                     break
                 heapq.heappop(agenda)
-                self.now = handle.time
+                self.now = time
                 self.events_executed += 1
                 executed += 1
                 handle.cancelled = True   # consumed; late cancel() is a no-op

@@ -4,7 +4,9 @@ The MAC protocols lean heavily on watchdog timers: every station arms a
 ``SAT_TIMER`` (WRT-Ring) or a token timer (TPT) and *restarts* it each time
 the control signal departs.  :class:`Timer` provides exactly that shape —
 arm / restart / stop / expire-callback — on top of the engine's cancellable
-events.
+events; a restart that pushes the deadline later defers the pending event
+in place (:meth:`~repro.sim.engine.Engine.defer`) instead of cancelling it
+and pushing a new one.
 """
 
 from __future__ import annotations
@@ -58,12 +60,23 @@ class Timer:
         self._handle = self.engine.schedule(self.duration, self._expire)
 
     def restart(self, duration: Optional[float] = None) -> None:
-        """(Re-)arm the timer for a full period from now."""
-        self.stop()
+        """(Re-)arm the timer for a full period from now.
+
+        A running timer whose new deadline is no earlier than the pending
+        one is moved with :meth:`Engine.defer` (no cancel, no new heap
+        entry); an earlier deadline — an adaptive timer shrinking — cancels
+        and reschedules.  Both take the same tie order.
+        """
         if duration is not None:
             if duration <= 0:
                 raise ValueError(f"timer duration must be positive, got {duration!r}")
             self.duration = duration
+        handle = self._handle
+        deadline = self.engine.now + self.duration
+        if handle is not None and not handle.cancelled and deadline >= handle.time:
+            self.engine.defer(handle, deadline)
+            return
+        self.stop()
         self._handle = self.engine.schedule(self.duration, self._expire)
 
     def stop(self) -> None:

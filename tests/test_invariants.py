@@ -4,8 +4,10 @@ that hammer the protocol with every dynamic at once."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
-from repro.core import Packet, ServiceClass, WRTRingConfig, WRTRingNetwork
+from repro.core import (Packet, QuotaConfig, ServiceClass, WRTRingConfig,
+                        WRTRingNetwork)
 from repro.core.invariants import InvariantViolation, RingInvariantChecker
 from repro.sim import Engine
 
@@ -165,3 +167,84 @@ class TestFuzzSoak:
         # the network either survived or went down cleanly — never hung
         if not net.network_down:
             assert net.rotation_log.all_samples(), "ring stopped rotating"
+
+
+# ----------------------------------------------------------------------
+# active set: the dataplane visits only stations with buffered work
+# ----------------------------------------------------------------------
+_OPS = hst.lists(
+    hst.tuples(hst.sampled_from(["enqueue", "enqueue", "enqueue", "kill",
+                                 "leave", "insert", "remove", "run"]),
+               hst.integers(min_value=0, max_value=63),
+               hst.integers(min_value=0, max_value=63),
+               hst.sampled_from(list(ServiceClass))),
+    min_size=1, max_size=40)
+
+
+class TestActiveSet:
+    def test_corrupted_active_set_is_reported(self):
+        engine, net, checker = checked_net(strict=False)
+        net.start()
+        net.enqueue(Packet(src=2, dst=4, service=ServiceClass.BEST_EFFORT,
+                           created=0.0))
+        net._active.discard(2)
+        engine.run(until=1)
+        assert any("not in the active set" in v for v in checker.violations)
+
+    def test_drained_station_leaves_and_receiver_joins(self):
+        engine, net, checker = checked_net()
+        net.start()
+        net.enqueue(Packet(src=1, dst=3, service=ServiceClass.BEST_EFFORT,
+                           created=0.0))
+        assert net._active == {1}
+        engine.run(until=0)      # slot 0: 1 sends, 2 receives into transit
+        assert net._active == {2}
+        engine.run(until=1)      # slot 1: 2 forwards, 3 strips it
+        assert net._active == set()
+        assert net.metrics.total_delivered == 1
+        assert checker.clean
+
+    @settings(max_examples=60, deadline=None)
+    @given(_OPS)
+    def test_coverage_under_mixed_dynamics(self, ops):
+        """Random enqueues, kills, graceful leaves, inserts and removals
+        between runs: the strict checker (active-set coverage included)
+        passes every tick, and after every operation each member with
+        buffered work is in the active set at its ring position."""
+        engine, net, checker = checked_net(n=6)
+        net.start()
+        next_sid = 100
+
+        def covered():
+            for idx, sid in enumerate(net.order):
+                st = net.stations[sid]
+                if st.transit or st.queue_length():
+                    assert st._ring_pos == idx and idx in net._active
+
+        for op, a, b, service in ops:
+            if net.network_down:
+                break
+            order = net.order
+            src, dst = order[a % len(order)], order[b % len(order)]
+            alive = [s for s in order if net.stations[s].alive
+                     and not net.stations[s].leaving]
+            if op == "enqueue" and src != dst and net.stations[src].alive:
+                net.enqueue(Packet(src=src, dst=dst, service=service,
+                                   created=engine.now))
+            elif op == "kill" and len(alive) > 3 and src in alive:
+                net.kill_station(src)
+            elif op == "leave" and len(alive) > 3 and src in alive:
+                net.leave_gracefully(src)
+            elif op == "insert" and net.rebuilding_until is None:
+                net.insert_station(next_sid, after=src,
+                                   quota=QuotaConfig.two_class(2, 2))
+                next_sid += 1
+            elif (op == "remove" and len(order) > 3
+                  and src not in (net.sat.at_station, net.sat.in_flight_to)):
+                net.remove_station(src)
+            else:
+                engine.run(until=engine.now + 1 + b % 8)
+            covered()
+        engine.run(until=engine.now + 200)
+        covered()
+        assert checker.clean, checker.violations[:3]

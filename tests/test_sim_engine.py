@@ -278,7 +278,8 @@ class TestAgendaHygiene:
         for h in rng.sample(handles, 150):
             h.cancel()
         while eng.step():
-            naive = sum(1 for x in eng._agenda if not x.cancelled)
+            # agenda entries are (time, priority, seq, handle) tuples
+            naive = sum(1 for entry in eng._agenda if not entry[3].cancelled)
             assert eng.pending_count() == naive
         assert eng.pending_count() == 0
 
@@ -307,6 +308,133 @@ class TestAgendaHygiene:
         eng.schedule(1.0, cancel_most)
         eng.run()
         assert fired == list(range(50))
+
+
+class TestDefer:
+    """``Engine.defer`` moves a pending event later in place; it must be
+    observationally identical to cancel-plus-reschedule."""
+
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=6),
+                              st.integers(min_value=-1, max_value=1)),
+                    min_size=1, max_size=12),
+           st.lists(st.tuples(st.integers(min_value=0, max_value=11),
+                              st.integers(min_value=0, max_value=4)),
+                    max_size=12))
+    def test_tie_order_matches_cancel_and_reschedule(self, events, moves):
+        def play(use_defer):
+            eng = Engine()
+            fired = []
+            handles = [eng.schedule_at(float(t), fired.append, i, priority=p)
+                       for i, (t, p) in enumerate(events)]
+            for which, delta in moves:
+                i = which % len(handles)
+                h = handles[i]
+                later = h.time + delta
+                if use_defer:
+                    eng.defer(h, later)
+                else:
+                    h.cancel()
+                    handles[i] = eng.schedule_at(later, fired.append, i,
+                                                 priority=h.priority)
+                # later arrivals at equal (time, priority) tie-break after
+                eng.schedule_at(later, fired.append, ("new", i, delta),
+                                priority=h.priority)
+            eng.run()
+            return fired, eng.now, eng.events_executed
+
+        assert play(True) == play(False)
+
+    def test_stale_repush_is_not_an_event(self):
+        eng = Engine()
+        fired = []
+        a = eng.schedule_at(1.0, fired.append, "a")
+        eng.schedule_at(3.0, fired.append, "b")
+        eng.defer(a, 5.0)
+        eng.run(max_events=1)           # pops a's stale entry, then runs b
+        assert fired == ["b"]
+        assert eng.events_executed == 1
+        assert eng.stale_repushes == 1
+        assert eng.now == 3.0
+        eng.run(max_events=1)
+        assert fired == ["b", "a"]
+        assert eng.events_executed == 2
+        assert eng.now == 5.0
+
+    def test_budget_not_charged_for_stale_entries(self):
+        eng = Engine()
+        fired = []
+        handles = [eng.schedule_at(float(i), fired.append, i)
+                   for i in range(1, 6)]
+        for h in handles:
+            eng.defer(h, 10.0 + h.time)
+        eng.schedule_at(8.0, fired.append, "x")
+        eng.run(max_events=1)           # five stale entries surface first
+        assert fired == ["x"]
+        assert eng.events_executed == 1
+        assert eng.stale_repushes == 5
+
+    def test_step_skips_stale_entries(self):
+        eng = Engine()
+        fired = []
+        a = eng.schedule_at(1.0, fired.append, "a")
+        eng.schedule_at(2.0, fired.append, "b")
+        eng.defer(a, 4.0)
+        assert eng.step() and fired == ["b"]
+        assert eng.step() and fired == ["b", "a"]
+        assert not eng.step()
+        assert eng.events_executed == 2
+
+    def test_pending_count_and_peek(self):
+        eng = Engine()
+        a = eng.schedule_at(1.0, lambda: None)
+        b = eng.schedule_at(3.0, lambda: None)
+        eng.defer(a, 5.0)
+        assert eng.pending_count() == 2
+        assert eng.peek() == 3.0        # a's stale entry at 1.0 is skipped
+        assert eng.pending_count() == 2
+        assert len(eng._agenda) == 2    # re-pushed, not duplicated
+        a.cancel()
+        assert eng.pending_count() == 1
+        b.cancel()
+        assert eng.pending_count() == 0
+        assert eng.peek() is None
+
+    def test_compaction_keeps_deferred_events(self):
+        eng = Engine()
+        fired = []
+        keep = eng.schedule_at(1.0, fired.append, "keep")
+        eng.defer(keep, 50_000.0)
+        doomed = [eng.schedule_at(float(i + 2), lambda: None)
+                  for i in range(1_000)]
+        for h in doomed:
+            h.cancel()                  # triggers in-place compaction
+        assert eng.pending_count() == 1
+        assert eng.peek() == 50_000.0
+        eng.run()
+        assert fired == ["keep"] and eng.now == 50_000.0
+
+    def test_defer_snaps_to_slot_grid(self):
+        eng = Engine()
+        eng.slot_quantum = 1.0
+        h = eng.schedule_at(2.0, lambda: None)
+        eng.defer(h, 7.0 + 1e-12)
+        assert h.time == 7.0
+
+    def test_defer_rejects_earlier_or_dead_events(self):
+        eng = Engine()
+        h = eng.schedule_at(5.0, lambda: None)
+        with pytest.raises(SchedulingError):
+            eng.defer(h, 4.0)
+        h.cancel()
+        with pytest.raises(SchedulingError):
+            eng.defer(h, 9.0)
+        fired = eng.schedule_at(6.0, lambda: None)
+        eng.run()
+        with pytest.raises(SchedulingError):
+            eng.defer(fired, 9.0)       # consumed
+        other = Engine().schedule_at(1.0, lambda: None)
+        with pytest.raises(SchedulingError):
+            eng.defer(other, 9.0)
 
 
 class TestSlotGridSnapping:

@@ -85,6 +85,62 @@ class TestTimer:
         with pytest.raises(ValueError):
             t.restart(duration=-2.0)
 
+    def test_invalid_restart_leaves_timer_armed(self):
+        # regression: restart() disarmed the watchdog before validating
+        # its duration, so a rejected restart silently stopped it
+        eng = Engine()
+        fired = []
+        t = Timer(eng, 10.0, lambda: fired.append(eng.now))
+        t.start()
+        eng.run(until=4.0)
+        with pytest.raises(ValueError):
+            t.restart(duration=0.0)
+        assert t.running
+        assert t.deadline == 10.0
+        assert t.duration == 10.0
+        eng.run()
+        assert fired == [10.0]
+
+    def test_later_restart_defers_in_place(self):
+        eng = Engine()
+        t = Timer(eng, 10.0, lambda: None)
+        t.start()
+        handle = t._handle
+        eng.run(until=3.0)
+        t.restart()
+        assert t._handle is handle and not handle.cancelled
+        assert t.deadline == 13.0
+        assert len(eng._agenda) == 1    # no second heap entry
+
+    def test_shorter_restart_cancels_and_reschedules(self):
+        eng = Engine()
+        fired = []
+        t = Timer(eng, 10.0, lambda: fired.append(eng.now))
+        t.start()
+        handle = t._handle
+        eng.run(until=2.0)
+        t.restart(duration=3.0)         # deadline 5 < pending 10
+        assert handle.cancelled
+        assert t._handle is not handle
+        assert t.deadline == 5.0
+        eng.run()
+        assert fired == [5.0]
+        assert t.expirations == 1
+
+    def test_restart_order_matches_fresh_schedule(self):
+        # a deferred timer and a fresh event at the same instant fire in
+        # scheduling order, exactly as with cancel-plus-reschedule
+        eng = Engine()
+        fired = []
+        t = Timer(eng, 5.0, lambda: fired.append("timer"))
+        t.start()
+        eng.run(until=1.0)
+        eng.schedule_at(6.0, fired.append, "before")
+        t.restart()                     # deadline 6, scheduled after
+        eng.schedule_at(6.0, fired.append, "after")
+        eng.run()
+        assert fired == ["before", "timer", "after"]
+
     def test_timer_can_rearm_itself_from_callback(self):
         eng = Engine()
         fired = []
