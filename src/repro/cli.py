@@ -107,12 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "in [START, END) (optionally only on CODE); "
                           "repeatable")
     sim.add_argument("--check-invariants", action="store_true")
-    sim.add_argument("--kernel", choices=["scalar", "batched"],
-                     default=None,
-                     help="tick driver: 'scalar' (reference, one event per "
-                          "slot) or 'batched' (inline slot batching + "
-                          "analytic fast-forward; byte-identical output, "
-                          "see docs/KERNEL.md)")
     sim.add_argument("--adaptive-timers", action="store_true",
                      help="arm SAT_TIMERs from an RFC 6298 SRTT/RTTVAR "
                           "estimator over observed rotations (ceilinged at "
@@ -165,10 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     fab.add_argument("--seed", type=int, default=0)
     fab.add_argument("--mode", choices=["serial", "sharded"],
                      default="serial")
-    fab.add_argument("--kernel", choices=["scalar", "batched"],
-                     default="scalar",
-                     help="per-ring tick driver (see docs/KERNEL.md); "
-                          "applies to every shard in either mode")
     fab.add_argument("--parity", action="store_true",
                      help="run BOTH modes and verify byte-identical merged "
                           "traces and tables")
@@ -421,9 +411,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         from dataclasses import replace
 
         from repro.config_io import load_scenario
-        scenario = load_scenario(args.config)
-        if args.kernel is not None and args.kernel != scenario.kernel:
-            scenario = replace(scenario, kernel=args.kernel)
+        try:
+            scenario = load_scenario(args.config)
+        except ValueError as exc:
+            raise SystemExit(f"bad config: {exc}")
         if args.adaptive_timers and not scenario.adaptive_timers:
             scenario = replace(scenario, adaptive_timers=True)
         payload = _run_observed(scenario, args.timeline, args.metrics)
@@ -469,7 +460,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         faults=schedule if schedule.events else None,
         impairments=_parse_impairments(args),
         check_invariants=args.check_invariants,
-        kernel=args.kernel or "scalar",
         adaptive_timers=args.adaptive_timers,
         horizon=args.horizon, seed=args.seed)
     payload = _run_observed(scenario, args.timeline, args.metrics)
@@ -511,8 +501,7 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
 
     def execute(mode):
         with FabricRunner(topo, mode=mode, trace=trace,
-                          observe=args.metrics,
-                          kernel=args.kernel) as runner:
+                          observe=args.metrics) as runner:
             runner.run()
             return runner.result(include_trace=trace)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, Mapping
 
 from repro.core.packet import ServiceClass
 from repro.core.quotas import QuotaConfig
@@ -75,10 +75,6 @@ def scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
                               mean_off=scenario.traffic.mean_off)
     if scenario.traffic.kind == "prefill":
         out["traffic"]["burst"] = scenario.traffic.burst
-    if scenario.kernel != "scalar":
-        # emitted only when non-default so existing configs, corpus bundles
-        # and campaign-store keys keep their exact historical shape
-        out["kernel"] = scenario.kernel
     if scenario.adaptive_timers:
         out["adaptive_timers"] = True
     if scenario.calls is not None:
@@ -102,33 +98,66 @@ def scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
     return out
 
 
+#: top-level keys copied verbatim into the Scenario constructor
+_PLAIN_KEYS = ("n", "placement", "radius", "range_margin", "l", "k",
+               "rap_enabled", "t_ear", "t_update", "use_channel",
+               "validate_phy", "check_invariants", "horizon", "seed",
+               "adaptive_timers")
+#: keys parsed section by section below
+_SECTION_KEYS = ("arena", "traffic", "quotas", "mobility", "faults",
+                 "impairments", "calls")
+#: the retired tick-driver choice: still accepted (old configs, corpus
+#: bundles and campaign points carry it) and ignored, since every run now
+#: takes the one dataplane
+_LEGACY_KERNELS = ("scalar", "batched")
+
+
+def _section(cls, name: str, data: Mapping[str, Any]):
+    """``cls(**data)`` for a nested config section, rejecting keys the
+    dataclass does not have with a ValueError naming them."""
+    unknown = set(data) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    return cls(**data)
+
+
+def _quota(sid: str, vals: Any) -> QuotaConfig:
+    if not isinstance(vals, (list, tuple)) or len(vals) != 3:
+        raise ValueError(f"quotas for station {sid} must be [l, k1, k2], "
+                         f"got {vals!r}")
+    return QuotaConfig(l=vals[0], k1=vals[1], k2=vals[2])
+
+
 def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
-    """Build a Scenario from the dict shape :func:`scenario_to_dict` emits."""
-    data = dict(data)
-    kwargs: Dict[str, Any] = {}
-    for key in ("n", "placement", "radius", "range_margin", "l", "k",
-                "rap_enabled", "t_ear", "t_update", "use_channel",
-                "validate_phy", "check_invariants", "horizon", "seed",
-                "kernel", "adaptive_timers"):
-        if key in data:
-            kwargs[key] = data[key]
+    """Build a Scenario from the dict shape :func:`scenario_to_dict` emits.
+
+    Malformed input raises ValueError naming the offending key or station.
+    """
+    unknown = set(data) - {*_PLAIN_KEYS, *_SECTION_KEYS, "kernel"}
+    if unknown:
+        raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
+    if data.get("kernel", "scalar") not in _LEGACY_KERNELS:
+        raise ValueError(f"unknown kernel {data['kernel']!r} "
+                         f"(expected one of {list(_LEGACY_KERNELS)})")
+    kwargs: Dict[str, Any] = {key: data[key] for key in _PLAIN_KEYS
+                              if key in data}
 
     if "arena" in data:
-        kwargs["arena"] = Arena(**data["arena"])
+        kwargs["arena"] = _section(Arena, "arena", data["arena"])
 
     if "traffic" in data:
         traffic = dict(data["traffic"])
         if "service" in traffic:
             traffic["service"] = _service_from_name(traffic["service"])
-        kwargs["traffic"] = TrafficMix(**traffic)
+        kwargs["traffic"] = _section(TrafficMix, "traffic", traffic)
 
     if "quotas" in data and data["quotas"] is not None:
-        kwargs["quotas"] = {
-            int(sid): QuotaConfig(l=vals[0], k1=vals[1], k2=vals[2])
-            for sid, vals in data["quotas"].items()}
+        kwargs["quotas"] = {int(sid): _quota(sid, vals)
+                            for sid, vals in data["quotas"].items()}
 
     if "mobility" in data and data["mobility"] is not None:
-        kwargs["mobility"] = MobilitySpec(**data["mobility"])
+        kwargs["mobility"] = _section(MobilitySpec, "mobility",
+                                      data["mobility"])
 
     if "faults" in data and data["faults"]:
         events = []
@@ -144,14 +173,6 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
     if "calls" in data and data["calls"] is not None:
         kwargs["calls"] = CallsSpec.from_dict(data["calls"])
 
-    unknown = set(data) - {"n", "placement", "radius", "range_margin",
-                           "arena", "l", "k", "rap_enabled", "t_ear",
-                           "t_update", "use_channel", "validate_phy",
-                           "check_invariants", "horizon", "seed", "kernel",
-                           "adaptive_timers", "traffic", "quotas", "mobility",
-                           "faults", "impairments", "calls"}
-    if unknown:
-        raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
     return Scenario(**kwargs)
 
 

@@ -21,15 +21,14 @@ from typing import Tuple
 from repro.core.packet import ServiceClass
 from repro.core.quotas import QuotaConfig
 
-__all__ = ["COLUMN_CLASSES", "DiffservProfile", "split_k_quota",
+__all__ = ["PRIORITY_CLASSES", "DiffservProfile", "split_k_quota",
            "dscp_to_service_class"]
 
-#: Canonical order of the service classes in the struct-of-arrays dataplane
-#: state (:mod:`repro.core.columns`) and in the decision codes the ring's
+#: Canonical order of the service classes in the decision codes the ring's
 #: decision layer hands to its effects layer: Premium, Assured, best-effort
 #: — identical to the strict send priority of Sec. 2.2/2.3, and indexable
 #: by ``int(ServiceClass)`` since the enum values follow the same order.
-COLUMN_CLASSES: Tuple[ServiceClass, ...] = (
+PRIORITY_CLASSES: Tuple[ServiceClass, ...] = (
     ServiceClass.PREMIUM, ServiceClass.ASSURED, ServiceClass.BEST_EFFORT)
 
 

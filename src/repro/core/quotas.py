@@ -60,26 +60,5 @@ class QuotaConfig:
     def with_l(self, l: int) -> "QuotaConfig":
         return QuotaConfig(l=l, k1=self.k1, k2=self.k2)
 
-    def send_schedule(self, rt_pck: int, nrt_pck: int, as_pck: int,
-                      be_pck: int, rt_depth: int, as_depth: int,
-                      be_depth: int) -> "tuple[int, int, int]":
-        """Remaining consecutive sends of the current SAT round.
-
-        Given the round counters and class-queue depths, an unblocked
-        backlogged station transmits ``r`` real-time packets, then ``a``
-        Assured, then ``b`` best-effort — in that strict order, one per
-        slot, with ``a`` and ``b`` drawing from the shared residual ``k``
-        authorization under the ``k1``/``k2`` caps.  This closed form is
-        the per-station decision rule the batched kernel's saturated walk
-        evaluates instead of calling ``select_packet`` slot by slot (and
-        what :meth:`repro.core.columns.ColumnState.segment_budgets`
-        vectorizes across the ring).
-        """
-        r = min(max(self.l - rt_pck, 0), rt_depth)
-        nb = max(self.k - nrt_pck, 0)
-        a = min(max(self.k1 - as_pck, 0), nb, as_depth)
-        b = min(max(self.k2 - be_pck, 0), nb - a, be_depth)
-        return r, a, b
-
     def __str__(self) -> str:
         return f"l={self.l},k={self.k}(k1={self.k1},k2={self.k2})"

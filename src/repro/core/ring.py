@@ -48,9 +48,8 @@ from typing import Callable, Dict, List, Optional
 
 from repro.analysis.bounds import sat_rotation_bound
 from repro.analysis.netmetrics import NetworkMetrics
-from repro.core.columns import ColumnState
 from repro.core.config import WRTRingConfig
-from repro.core.diffserv import COLUMN_CLASSES
+from repro.core.diffserv import PRIORITY_CLASSES
 from repro.core.packet import Packet
 from repro.core.quotas import QuotaConfig
 from repro.core.sat import SAT, RotationLog
@@ -148,9 +147,6 @@ class WRTRingNetwork:
         #: decision codes of the current slot, one per visited station
         #: (reused buffer, refilled by ``_decide_slot``)
         self._slot_picks: List[int] = []
-        #: struct-of-arrays mirror of the hot-path station state; rebound on
-        #: every membership change, consumed by the batched kernel
-        self.columns = ColumnState(self)
         self._refresh_members()
 
         #: optional :class:`~repro.phy.impairments.ChannelImpairments` —
@@ -166,9 +162,6 @@ class WRTRingNetwork:
         self.network_down = False
         self.started = False
         self._tick_handle = None
-        #: alternative tick callback (installed by the batched kernel before
-        #: :meth:`start`); ``None`` runs the reference scalar :meth:`_tick`
-        self.tick_driver: Optional[Callable[[], None]] = None
         self._tick_hooks: List[Callable[[float], None]] = []
         # the ring defines the slot grid: snap schedule times that drifted
         # off it by float accumulation (see Engine.snap_to_grid)
@@ -291,8 +284,7 @@ class WRTRingNetwork:
         self.sat.at_station = first
         self.stations[first].on_sat_arrival(self.engine.now)
         self.recovery.arm_all()
-        driver = self.tick_driver if self.tick_driver is not None else self._tick
-        self._tick_handle = self.engine.schedule(0.0, driver, priority=5)
+        self._tick_handle = self.engine.schedule(0.0, self._tick, priority=5)
 
     def stop(self) -> None:
         if self._tick_handle is not None:
@@ -397,33 +389,24 @@ class WRTRingNetwork:
     def _refresh_members(self) -> None:
         """Rebuild the hot-path member cache after a membership change:
         the in-order station list (so the per-slot loops stop doing a dict
-        lookup per station), each member's ring position, successor and
-        non-successor recount, the active set (from the buffers), and the
-        columnar binding."""
+        lookup per station), each member's ring position and successor, and
+        the active set (from the buffers)."""
         members = [self.stations[sid] for sid in self.order]
         self._members = members
         n = len(members)
         active = self._active
         active.clear()
         for st in self.stations.values():
-            st._succ_sid = None
             st._succ = None
             st._ring_pos = -1
             st._active = None
         for i, st in enumerate(members):
             succ = members[(i + 1) % n]
             st._succ = succ
-            st._succ_sid = succ.sid
             st._ring_pos = i
             st._active = active
             if st.transit or st.rt_queue or st.as_queue or st.be_queue:
                 active.add(i)
-        for st in self.stations.values():
-            succ = st._succ_sid
-            st._nonsucc = sum(
-                1 for q in (st.rt_queue, st.as_queue, st.be_queue)
-                for p in q if p.dst != succ)
-        self.columns.bind_ring()
 
     def insert_station(self, new_sid: int, after: int, quota: QuotaConfig,
                        code: Optional[int] = None) -> WRTRingStation:
@@ -465,7 +448,6 @@ class WRTRingNetwork:
                 pkt.dropped = True
                 self._ev_lost(t, pkt, "removed", sid, None)
             queue.clear()
-        st._nonsucc = 0
         if self.channel is not None:
             self.channel.remove_listener(sid)
         self.recovery.on_membership_change(removed=sid)
@@ -483,9 +465,7 @@ class WRTRingNetwork:
         """One slot's worth of protocol work at time ``t``.
 
         Returns False when the network is down (no further ticks should be
-        scheduled).  Split out from :meth:`_tick` so an alternative tick
-        driver (see :mod:`repro.kernel`) can run slot bodies without going
-        through the agenda for every slot.
+        scheduled).
         """
         for hook in self._tick_hooks:
             hook(t)
@@ -528,7 +508,7 @@ class WRTRingNetwork:
     # ------------------------------------------------------------------
     # dataplane
     # ------------------------------------------------------------------
-    #: decision codes for one slot: 0..2 index COLUMN_CLASSES (own traffic),
+    #: decision codes for one slot: 0..2 index PRIORITY_CLASSES (own traffic),
     #: _PICK_TRANSIT forwards from the insertion buffer, _PICK_IDLE is empty
     _PICK_IDLE = -1
     _PICK_TRANSIT = 3
@@ -554,11 +534,11 @@ class WRTRingNetwork:
         idle, transit_code = self._PICK_IDLE, self._PICK_TRANSIT
         transit_first = self.config.transit_priority
         for st in members:
-            if not st._alive:
+            if not st.alive:
                 pick(idle)
             elif transit_first and st.transit:
                 pick(transit_code)
-            elif not st._leaving:
+            elif not st.leaving:
                 service = st._decide_class()
                 if service is not None:
                     pick(service)
@@ -593,7 +573,7 @@ class WRTRingNetwork:
             elif code == self._PICK_TRANSIT:
                 send(st.transit.popleft())
             else:
-                pkt = st._pop_class(COLUMN_CLASSES[code])
+                pkt = st._pop_class(PRIORITY_CLASSES[code])
                 pkt.t_send = t
                 self._ev_transmit(t, st.sid, pkt)
                 send(pkt)
@@ -630,7 +610,7 @@ class WRTRingNetwork:
                     pkt.dropped = True
                     self._ev_lost(t, pkt, reason, src_sid, dst_sid)
                     continue
-            if not receiver._alive:
+            if not receiver.alive:
                 pkt.dropped = True
                 self._ev_lost(t, pkt, "dead_station", src_sid, dst_sid)
                 continue

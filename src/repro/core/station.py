@@ -35,28 +35,13 @@ class WRTRingStation:
 
     def __init__(self, sid: int, quota: QuotaConfig):
         self.sid = sid
-        # columnar binding: the owning ring's ColumnState and this station's
-        # row index, set by WRTRingNetwork._reindex (None/-1 while standalone
-        # or after leaving the ring).  The lifecycle setters below write
-        # through to the bound column cells; hot per-slot state stays in
-        # plain attributes (a numpy cell access costs ~12x an attribute
-        # load) and is bulk-synced at kernel batch-window boundaries.
-        self._cols = None
-        self._idx = -1
-        #: ring-successor hint plus an incremental count of queued packets
-        #: *not* addressed to it — the batched kernel's saturated path may
-        #: only engage while every buffered packet is one hop from delivery.
-        #: A standalone station (no successor) counts everything, failing
-        #: safe toward the scalar path.
-        self._succ_sid: Optional[int] = None
-        self._nonsucc = 0
         #: ring binding, set by ``WRTRingNetwork._refresh_members``: the
         #: successor station, this station's ring position and the ring's
         #: active set, which an enqueue joins (None while standalone)
         self._succ: Optional["WRTRingStation"] = None
         self._ring_pos = -1
         self._active: Optional[set] = None
-        self._quota = quota
+        self.quota = quota
         self.rt_queue: Deque[Packet] = deque()
         self.as_queue: Deque[Packet] = deque()
         self.be_queue: Deque[Packet] = deque()
@@ -83,50 +68,16 @@ class WRTRingStation:
         #: a signal arriving with seq <= this is a duplicate/stale replay
         #: and is discarded instead of renewing quotas
         self.last_sat_seq = -1
-        # dynamic state (shadow attributes behind the write-through
-        # properties below)
-        self._alive = True
-        self._leaving = False
-
-    # ------------------------------------------------------------------
-    # lifecycle fields: thin views over the ring's columnar state
-    # ------------------------------------------------------------------
-    @property
-    def quota(self) -> QuotaConfig:
-        return self._quota
-
-    @quota.setter
-    def quota(self, value: QuotaConfig) -> None:
-        self._quota = value
-        if self._cols is not None:
-            self._cols.set_quota(self._idx, value)
-
-    @property
-    def alive(self) -> bool:
-        return self._alive
-
-    @alive.setter
-    def alive(self, value: bool) -> None:
-        self._alive = value
-        if self._cols is not None:
-            self._cols.set_alive(self._idx, value)
-
-    @property
-    def leaving(self) -> bool:
-        return self._leaving
-
-    @leaving.setter
-    def leaving(self, value: bool) -> None:
-        self._leaving = value
-        if self._cols is not None:
-            self._cols.set_leaving(self._idx, value)
+        # dynamic state
+        self.alive = True
+        self.leaving = False
 
     # ------------------------------------------------------------------
     # queueing
     # ------------------------------------------------------------------
     def enqueue(self, packet: Packet, now: float) -> None:
         """Accept a packet from the application layer into its class queue."""
-        if not self._alive:
+        if not self.alive:
             raise RuntimeError(f"station {self.sid} is not alive")
         if packet.src != self.sid:
             raise ValueError(
@@ -134,8 +85,6 @@ class WRTRingStation:
         packet.t_enqueue = now
         queue = self._queue_for(packet.service)
         queue.append(packet)
-        if packet.dst != self._succ_sid:
-            self._nonsucc += 1
         if self._active is not None:
             self._active.add(self._ring_pos)
         self.enqueued[packet.service] += 1
@@ -165,25 +114,25 @@ class WRTRingStation:
     @property
     def may_send_rt(self) -> bool:
         """Rule 1: real-time allowed while fewer than ``l`` sent this round."""
-        return self.rt_pck < self._quota.l and bool(self.rt_queue)
+        return self.rt_pck < self.quota.l and bool(self.rt_queue)
 
     @property
     def _rt_exhausted_or_empty(self) -> bool:
         """Rule 2's precondition: RT buffer empty or RT quota used up."""
-        return not self.rt_queue or self.rt_pck >= self._quota.l
+        return not self.rt_queue or self.rt_pck >= self.quota.l
 
     @property
     def may_send_assured(self) -> bool:
         return (self._rt_exhausted_or_empty
-                and self.nrt_pck < self._quota.k
-                and self.as_pck < self._quota.k1
+                and self.nrt_pck < self.quota.k
+                and self.as_pck < self.quota.k1
                 and bool(self.as_queue))
 
     @property
     def may_send_be(self) -> bool:
         return (self._rt_exhausted_or_empty
-                and self.nrt_pck < self._quota.k
-                and self.be_pck < self._quota.k2
+                and self.nrt_pck < self.quota.k
+                and self.be_pck < self.quota.k2
                 and bool(self.be_queue)
                 # k1 has strict priority over k2 within the same station
                 and not self.may_send_assured)
@@ -214,8 +163,6 @@ class WRTRingStation:
             pkt = self.be_queue.popleft()
             self.nrt_pck += 1
             self.be_pck += 1
-        if pkt.dst != self._succ_sid:
-            self._nonsucc -= 1
         self.sent[pkt.service] += 1
         return pkt
 
@@ -243,7 +190,7 @@ class WRTRingStation:
         that will cut it out — holding it back would stall the rotation
         until the watchdogs cut out an innocent station instead.
         """
-        return (self._leaving or self.rt_pck >= self._quota.l
+        return (self.leaving or self.rt_pck >= self.quota.l
                 or not self.rt_queue)
 
     def on_sat_arrival(self, now: float) -> Optional[float]:

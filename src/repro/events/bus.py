@@ -89,15 +89,6 @@ class EventBus:
     def subscriber_count(self, etype: Type[ProtocolEvent]) -> int:
         return len(self._subs.get(etype, ()))
 
-    def subscribers(self, etype: Type[ProtocolEvent]) -> tuple:
-        """The current subscriber tuple for *etype*, in subscription order.
-
-        Identity-comparable: the batched kernel's saturated path engages
-        only while the packet-lifecycle subscriber sets are *exactly* the
-        consumers whose effects it replicates inline (metrics + its own
-        buffered counter), which it checks against this tuple from a
-        binder."""
-        return tuple(self._subs.get(etype, ()))
 
     # -- emitter side --------------------------------------------------
     def emitter(self, etype: Type[ProtocolEvent]) -> Callable[..., None]:

@@ -19,7 +19,6 @@ transient key and never crosses a boundary or lands in a trace record.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.campaign.sweep import canonical_json
@@ -56,13 +55,10 @@ class RingShard:
     _ev_buffer = NULL_EMITTER
 
     def __init__(self, topo: Topology, ring: int, trace: bool = True,
-                 observe: bool = False, kernel: str = "scalar"):
+                 observe: bool = False):
         self.topo = topo
         self.ring = ring
-        scenario = topo.ring_scenario(ring)
-        if kernel != scenario.kernel:
-            scenario = replace(scenario, kernel=kernel)
-        self.result = build_scenario(scenario)
+        self.result = build_scenario(topo.ring_scenario(ring))
         self.net = self.result.network
         self.engine = self.result.engine
         self.trace = self.result.trace
@@ -321,17 +317,6 @@ class RingShard:
             "trace_len": len(lines),
             "trace_digest": digest,
         }
-        # batched-kernel telemetry: diagnostic only — like
-        # events_executed, window/jump counts may differ across execution
-        # modes (conservative barriers clamp windows differently), so
-        # they stay out of summary()/ring_table() parity surfaces
-        kern = getattr(getattr(self.net, "tick_driver", None), "__self__",
-                       None)
-        if kern is not None and hasattr(kern, "ff_jumps"):
-            out["kernel"] = {"ff_jumps": kern.ff_jumps,
-                             "ff_slots_skipped": kern.ff_slots_skipped,
-                             "sat_windows": kern.sat_windows,
-                             "sat_slots": kern.sat_slots}
         if include_trace:
             out["trace"] = lines
         if self.registry is not None:

@@ -28,14 +28,13 @@ __all__ = ["_shard_entry"]
 
 
 def _shard_entry(conn, ring: int, topo_dict: Dict[str, Any],
-                 trace: bool, observe: bool,
-                 kernel: str = "scalar") -> None:
+                 trace: bool, observe: bool) -> None:
     try:
         from repro.fabric.shard import RingShard
         from repro.fabric.topology import topology_from_dict
 
         shard = RingShard(topology_from_dict(topo_dict), ring,
-                          trace=trace, observe=observe, kernel=kernel)
+                          trace=trace, observe=observe)
         conn.send(("ok", {"sat_bound": shard.sat_bound()}))
         while True:
             cmd = conn.recv()

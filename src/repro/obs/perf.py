@@ -89,69 +89,6 @@ def bench_ring_tick_rate(quick: bool = False) -> float:
     return horizon / (time.perf_counter() - start)
 
 
-def bench_batched_tick_rate(quick: bool = False) -> float:
-    """Slot-ticks/sec of a 16-station WRT-Ring under the batched kernel.
-
-    The ring idles (SAT circulation only), no trace attached — the regime
-    the analytic fast-forward was built for, and the configuration where
-    its closed-form bulk path carries every skipped slot.  The acceptance
-    target is >= 10x ``ring_tick_rate``.
-    """
-    from repro.core import WRTRingConfig, WRTRingNetwork
-    from repro.kernel import install_batched_kernel
-    from repro.sim.engine import Engine
-
-    horizon = 50_000 if quick else 400_000
-    engine = Engine()
-    cfg = WRTRingConfig.homogeneous(range(16), l=2, k=2, rap_enabled=False)
-    net = WRTRingNetwork(engine, list(range(16)), cfg)
-    install_batched_kernel(net)
-    net.start()
-    start = time.perf_counter()
-    engine.run(until=horizon)
-    return horizon / (time.perf_counter() - start)
-
-
-def bench_saturated_slot_rate(quick: bool = False) -> float:
-    """Slot-ticks/sec of a fully backlogged 32-station ring under the
-    batched kernel's vectorized saturated path.
-
-    Every station holds a successor-addressed backlog (the regime the
-    paper's Theorems 1-3 bound), trace off, RAP off — so the kernel
-    advances whole SAT windows analytically instead of stepping slots.
-    The acceptance target is >= 5x ``ring_tick_rate`` (the scalar
-    saturated-slot figure).
-    """
-    from repro.core import (Packet, ServiceClass, WRTRingConfig,
-                            WRTRingNetwork)
-    from repro.sim.engine import Engine
-    from repro.kernel import install_batched_kernel
-
-    n = 32
-    horizon = 20_000 if quick else 100_000
-    engine = Engine()
-    cfg = WRTRingConfig.homogeneous(range(n), l=2, k=1, rap_enabled=False)
-    net = WRTRingNetwork(engine, list(range(n)), cfg)
-    install_batched_kernel(net)
-    net.start()
-    # backlog sized to outlast the horizon: <= l+k sends per rotation and
-    # a rotation is at least n slots, so this never drains mid-run
-    rotations = horizon // n + 2
-    for sid in net.members:
-        st = net.stations[sid]
-        dst = net.successor(sid)
-        for _ in range(2 * rotations):
-            st.enqueue(Packet(src=sid, dst=dst,
-                              service=ServiceClass.PREMIUM, created=0.0), 0.0)
-        for _ in range(rotations):
-            st.enqueue(Packet(src=sid, dst=dst,
-                              service=ServiceClass.BEST_EFFORT, created=0.0),
-                       0.0)
-    start = time.perf_counter()
-    engine.run(until=horizon)
-    return horizon / (time.perf_counter() - start)
-
-
 def bench_sweep_throughput(quick: bool = False) -> float:
     """Campaign points/sec: a small serial sweep, no store, quiet."""
     from repro.campaign import CampaignRunner, Sweep
@@ -237,8 +174,6 @@ def bench_adaptive_recovery_rate(quick: bool = False) -> float:
 SUITE: Dict[str, Callable[[bool], float]] = {
     "kernel_step_rate": bench_kernel_step_rate,
     "ring_tick_rate": bench_ring_tick_rate,
-    "batched_tick_rate": bench_batched_tick_rate,
-    "saturated_slot_rate": bench_saturated_slot_rate,
     "sweep_throughput": bench_sweep_throughput,
     "fuzz_case_rate": bench_fuzz_case_rate,
     "fabric_tick_rate": bench_fabric_tick_rate,

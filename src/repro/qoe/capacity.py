@@ -70,7 +70,7 @@ def _measure_wrt(calls: int, stations: int, horizon: float, seed: int,
     scenario = Scenario(
         n=stations, l=2, k=1, traffic=TrafficMix(kind="none"),
         calls=replace(spec, count=calls),
-        horizon=horizon, seed=seed, kernel="batched")
+        horizon=horizon, seed=seed)
     result = run_scenario(scenario)
     return result.sessions.fraction_acceptable()
 

@@ -30,7 +30,7 @@ E-model, simplified to the terms our simulation can feed):
 Determinism contract: scores are computed from event payloads and packet
 lifecycle fields only — never from process-global identifiers (``pid`` and
 ``flow_id`` differ between two runs in the same process), so summaries stay
-byte-identical across the scalar and batched kernels.
+byte-identical from run to run.
 """
 
 from __future__ import annotations

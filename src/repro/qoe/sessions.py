@@ -29,9 +29,8 @@ Determinism contract: call arrivals/holding times are pre-drawn from named
 RNG streams at construction and scheduled as engine events at priority -1
 (the fault-schedule priority, before the slot tick), endpoints are drawn
 at fire time from the then-current membership, and no tick hook is
-installed unless ``join_via_rap`` demands one — so the batched kernel's
-fast-forward stays effective through silences and both kernels replay the
-same byte-identical event stream.
+installed unless ``join_via_rap`` demands one — so every run of a
+scenario replays the same byte-identical event stream.
 """
 
 from __future__ import annotations
@@ -255,7 +254,7 @@ class SessionManager:
             video = (spec.video_fraction > 0
                      and arrivals.random() < spec.video_fraction)
             # priority -1: same slot-relative ordering as the fault
-            # schedule, identical under both kernels
+            # schedule
             engine.schedule_at(t, self._call_arrives, cid, holding, video,
                                priority=-1)
 
@@ -270,8 +269,7 @@ class SessionManager:
                                  "channel (set use_channel=True)")
             if not net.config.rap_enabled:
                 raise ValueError("calls.join_via_rap needs rap_enabled=True")
-            # polling the requesters needs a tick hook; RAP mode already
-            # suppresses the batched fast-forward, so this costs nothing
+            # polling the requesters needs a tick hook
             net.add_tick_hook(self._poll_requesters)
 
     def _bind(self) -> None:

@@ -61,8 +61,7 @@ class TrafficMix:
     on/off pair per station — each station holds one two-way
     conversation), ``"prefill"`` (a one-shot burst of ``burst`` packets
     per station flow at slot 0, then silence: deep backlog with no
-    per-tick generator, the drain regime of the saturated-path
-    experiments), or ``"none"``.
+    per-tick generator), or ``"none"``.
     """
 
     kind: str = "poisson"
@@ -134,10 +133,6 @@ class Scenario:
     check_invariants: bool = False
     horizon: float = 10_000.0
     seed: int = 0
-    #: tick driver: "scalar" (reference, one agenda event per slot) or
-    #: "batched" (repro.kernel: inline slot batching + analytic fast-forward,
-    #: byte-identical outputs enforced by the kernel-parity harness)
-    kernel: str = "scalar"
     #: opt-in RFC 6298 SAT timers (repro.core.adaptive): per-station
     #: SRTT/RTTVAR estimation over observed rotations with a Theorem-1
     #: ceiling, plus exponential join-retry backoff.  Off = the paper's
@@ -145,9 +140,6 @@ class Scenario:
     adaptive_timers: bool = False
 
     def __post_init__(self) -> None:
-        if self.kernel not in ("scalar", "batched"):
-            raise ValueError(f"unknown kernel {self.kernel!r} "
-                             "(expected 'scalar' or 'batched')")
         if self.n < 2:
             raise ValueError(f"need at least 2 stations, got {self.n}")
         if self.placement not in ("circle", "uniform"):
@@ -447,12 +439,6 @@ def build_scenario(scenario: Scenario) -> ScenarioResult:
     sessions = None
     if scenario.calls is not None:
         sessions = SessionManager(net, workload, scenario.calls, streams)
-
-    if scenario.kernel == "batched":
-        # must be installed before start(): the kernel replaces the tick
-        # driver and needs to see every packet-entry event from slot 0
-        from repro.kernel import install_batched_kernel
-        install_batched_kernel(net)
 
     net.start()
     return ScenarioResult(scenario=scenario, engine=engine, network=net,

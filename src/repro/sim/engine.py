@@ -18,8 +18,7 @@ never compared).  The :class:`EventHandle` carries the authoritative
 Cancellation is O(1) (heap entries are tombstoned), but tombstones no longer
 linger: the engine counts them and lazily compacts the heap when they
 outnumber the live events, so :meth:`Engine.pending_count` is O(1) and
-:meth:`Engine.peek` reflects live events only — both are load-bearing for the
-batched kernel's quiescence test (see :mod:`repro.kernel`).
+:meth:`Engine.peek` reflects live events only.
 
 Deferral: :meth:`Engine.defer` moves a pending event to a *later* time in
 O(1).  It takes a fresh sequence number exactly as cancel-plus-reschedule
@@ -130,16 +129,8 @@ class Engine:
         #: slot-grid quantum for schedule-time snapping.  ``None`` (default)
         #: keeps exact float semantics; the ring sets it to its slot time so
         #: chained fractional delays cannot drift off the slot grid (which
-        #: would break the exact time comparisons fast-forward relies on).
+        #: would break the exact slot-time comparisons of the ring).
         self.slot_quantum: Optional[float] = None
-        #: the ``until`` bound of the currently executing :meth:`run`
-        #: (``None`` outside run() or for an unbounded run)
-        self.run_until: Optional[float] = None
-        #: True while the currently executing :meth:`run` has a
-        #: ``max_events`` budget — consumers that batch multiple logical
-        #: steps per callback must fall back to one-event-per-step so the
-        #: budget keeps its exact meaning
-        self.run_budgeted: bool = False
         #: kernel-side event bus: subscribing
         #: :class:`~repro.events.types.EngineRunWindow` (see
         #: ``repro.obs.integrate.attach_run_profiling``) records every
@@ -274,22 +265,6 @@ class Engine:
             return True
         return False
 
-    def advance_to(self, time: float) -> None:
-        """Move the clock forward to ``time`` without executing anything.
-
-        Only valid when no pending event lies strictly before ``time`` —
-        advancing past live events would strand them in the past.  Used by
-        the batched kernel to jump over analytically quiescent stretches.
-        """
-        if time < self.now:
-            raise SchedulingError(
-                f"cannot advance to {time!r}; current time is {self.now!r}")
-        nxt = self.peek()
-        if nxt is not None and nxt < time:
-            raise SimulationError(
-                f"cannot advance to {time!r} past pending event at {nxt!r}")
-        self.now = time
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the agenda drains, ``until`` is reached, or ``max_events`` fire.
 
@@ -307,8 +282,6 @@ class Engine:
             raise SchedulingError(f"until={until!r} is in the past (now={self.now!r})")
         self._running = True
         self._stopped = False
-        self.run_until = until
-        self.run_budgeted = max_events is not None
         executed = 0
         agenda = self._agenda
         emit_run = self._ev_run
@@ -341,8 +314,6 @@ class Engine:
                 handle.callback(*handle.args)
         finally:
             self._running = False
-            self.run_until = None
-            self.run_budgeted = False
             if emit_run:
                 emit_run(self.now, wall_start,
                          _time.perf_counter() - wall_start,
@@ -355,11 +326,6 @@ class Engine:
     def stop(self) -> None:
         """Stop a running :meth:`run` after the current event completes."""
         self._stopped = True
-
-    @property
-    def stopped(self) -> bool:
-        """True when :meth:`stop` ended (or is ending) the current run."""
-        return self._stopped
 
     # ------------------------------------------------------------------
     # introspection

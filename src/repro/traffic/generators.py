@@ -254,11 +254,10 @@ class TraceSource(_SourceBase):
 
 class PrefillSource:
     """One-shot deep backlog: ``count`` packets enqueued at slot 0, then
-    silence — the drain-only regime of the saturated-path experiments.
+    silence — a drain-only backlog.
 
-    Unlike :class:`BacklogSource` this installs *no* per-tick hook, so the
-    batched kernel's analytic paths stay eligible while the queues drain.
-    The single burst runs as a priority ``-1`` agenda event (before the
+    Unlike :class:`BacklogSource` this installs *no* per-tick hook.  The
+    single burst runs as a priority ``-1`` agenda event (before the
     slot-0 tick body, after network start — the enqueues flow through the
     normal entry funnel and every subscriber sees them).
     """

@@ -1,6 +1,8 @@
 """Tests for scenario JSON (de)serialization and the --config CLI path."""
 
+import glob
 import json
+import os
 
 import pytest
 
@@ -8,7 +10,12 @@ from repro.config_io import (load_scenario, save_scenario, scenario_from_dict,
                              scenario_to_dict)
 from repro.core import QuotaConfig, ServiceClass
 from repro.faults import FaultSchedule
+from repro.fuzz.bundle import load_bundle
 from repro.scenarios import MobilitySpec, Scenario, TrafficMix, run_scenario
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+EXAMPLES = sorted(glob.glob(os.path.join(ROOT, "examples", "*.json")))
+CORPUS = sorted(glob.glob(os.path.join(ROOT, "tests", "corpus", "*.json")))
 
 
 def full_scenario():
@@ -112,3 +119,99 @@ class TestCliConfig:
         payload = json.loads(capsys.readouterr().out)
         assert payload["delivered"] > 0
         assert payload["bound_holds"]
+
+
+class TestMalformedConfig:
+    """Malformed nested input fails as a ValueError naming the bad key or
+    station, and ``simulate --config`` reports it without a traceback."""
+
+    CASES = {
+        "traffic": ({"traffic": {"rte": 0.02}}, "rte"),
+        "arena": ({"arena": {"width": 50.0, "depth": 9.0}}, "depth"),
+        "mobility": ({"mobility": {"wander_radius": 1.0, "sped": 2.0}},
+                     "sped"),
+        "short_quota": ({"n": 4, "quotas": {"0": [1, 2]}}, "station 0"),
+        "top_level": ({"n": 4, "warp_drive": True}, "warp_drive"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_value_error_names_the_key(self, name):
+        data, needle = self.CASES[name]
+        with pytest.raises(ValueError, match=needle):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_simulate_reports_bad_config(self, name, tmp_path):
+        from repro.cli import main
+        data, needle = self.CASES[name]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(path)])
+        message = str(exc.value.code)
+        assert message.startswith("bad config: ")
+        assert needle in message
+
+
+class TestLegacyKernelKey:
+    """``kernel`` was the retired tick-driver choice: old configs, bundles
+    and campaign points that carry it still load, and it changes nothing."""
+
+    def test_scenario_has_no_kernel_field(self):
+        assert "kernel" not in Scenario.__dataclass_fields__
+        assert "kernel" not in scenario_to_dict(full_scenario())
+
+    @pytest.mark.parametrize("value", ["scalar", "batched"])
+    def test_legacy_key_loads_and_changes_nothing(self, value):
+        from repro.fuzz.runner import hash_trace
+        data = {"n": 6, "horizon": 800.0, "seed": 3,
+                "traffic": {"kind": "poisson", "rate": 0.05}}
+        legacy = scenario_from_dict({**data, "kernel": value})
+        assert legacy == scenario_from_dict(data)
+        assert (hash_trace(run_scenario(legacy).trace)
+                == hash_trace(run_scenario(scenario_from_dict(data)).trace))
+
+    def test_unknown_kernel_rejected(self):
+        with pytest.raises(ValueError, match="gpu"):
+            scenario_from_dict({"n": 4, "kernel": "gpu"})
+
+    def test_legacy_fuzz_case_replays_identically(self):
+        from repro.fuzz.generate import FuzzCase
+        from repro.fuzz.runner import run_case
+        case = FuzzCase.from_dict(load_bundle(CORPUS[0])["case"])
+        legacy = FuzzCase.from_dict({**case.to_dict(), "scenario": {
+            **case.scenario, "kernel": "batched"}})
+        assert (run_case(legacy).to_record()["trace_hash"]
+                == run_case(case).to_record()["trace_hash"])
+
+    def test_cli_rejects_kernel_flag(self):
+        from repro.cli import main
+        for argv in (["simulate", "--kernel", "scalar"],
+                     ["fabric", "--kernel", "scalar"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize("path", EXAMPLES,
+                             ids=[os.path.basename(p) for p in EXAMPLES])
+    def test_example_configs_round_trip(self, path):
+        from repro.fabric.topology import topology_from_dict, topology_to_dict
+        text = open(path).read()
+        data = json.loads(text)
+        if "topology" in data:
+            back = topology_to_dict(topology_from_dict(data))
+        else:
+            back = scenario_to_dict(scenario_from_dict(data))
+        assert json.dumps(back, indent=2) == text.rstrip("\n")
+
+    @pytest.mark.parametrize("path", CORPUS,
+                             ids=[os.path.basename(p) for p in CORPUS])
+    def test_corpus_bundles_round_trip(self, path):
+        # the bundle's sparse scenario dict normalizes to a fixed point
+        # that keeps every key it carries, with or without a legacy kernel
+        scenario = load_bundle(path)["case"]["scenario"]
+        full = scenario_to_dict(scenario_from_dict(scenario))
+        assert scenario_to_dict(scenario_from_dict(full)) == full
+        assert {k: full[k] for k in scenario} == scenario
+        assert scenario_to_dict(scenario_from_dict(
+            {**scenario, "kernel": "batched"})) == full

@@ -1,40 +1,31 @@
-"""Unit tests for the batched kernel: columns, hop planning, fast-forward
-boundaries, and budget/stop interactions.
+"""Run-window tests for the ring kernel (the scalar slot tick).
 
-The differential suite (test_kernel_parity.py) proves whole-run equivalence;
-these tests pin the individual mechanisms — so a parity failure elsewhere can
-be localized instead of bisected.
+However an engine run is cut — into chunks with off-grid edges, into
+``max_events`` budgets, or by a mid-run stop — the ring must end in the
+state of one uninterrupted run.  Whole-run behaviour is pinned by the
+golden hashes (test_golden_hashes.py); these tests pin the edges, so a
+golden failure caused by a driving bug can be localized instead of
+bisected.
 """
 
-import math
-
-import pytest
-
-from repro.core import (Packet, ServiceClass, WRTRingConfig, WRTRingNetwork)
-from repro.kernel import (BatchedKernel, ColumnState, hop_plan,
-                          install_batched_kernel)
+from repro.core import Packet, ServiceClass, WRTRingConfig, WRTRingNetwork
 from repro.sim import Engine
 
+HORIZON = 2000.0
+ARRIVAL = 777.25
 
-def make_net(n=5, l=2, k=2, **cfg_kwargs):
+
+def make_net(n=6, l=2, k=2, **cfg_kwargs):
     engine = Engine()
     cfg_kwargs.setdefault("rap_enabled", False)
     cfg = WRTRingConfig.homogeneous(range(n), l=l, k=k, **cfg_kwargs)
     net = WRTRingNetwork(engine, list(range(n)), cfg)
+    net.start()
+    # a mid-slot arrival in an otherwise idle ring
+    engine.schedule_at(ARRIVAL, lambda: net.enqueue(
+        Packet(src=2, dst=4, service=ServiceClass.PREMIUM,
+               created=engine.now)))
     return engine, net
-
-
-def make_pair(n=5, l=2, k=2, **cfg_kwargs):
-    """Two identical networks: (scalar engine/net, batched engine/net/kernel)."""
-    se, sn = make_net(n, l, k, **cfg_kwargs)
-    be, bn = make_net(n, l, k, **cfg_kwargs)
-    kern = install_batched_kernel(bn)
-    return (se, sn), (be, bn, kern)
-
-
-def pkt(src, dst, service=ServiceClass.PREMIUM, created=0.0, deadline=None):
-    return Packet(src=src, dst=dst, service=service, created=created,
-                  deadline=deadline)
 
 
 def snapshot(net):
@@ -44,8 +35,9 @@ def snapshot(net):
         "now": net.engine.now,
         "sat": (sat.kind, sat.at_station, sat.in_flight_to, sat.arrival_time,
                 sat.hops, sat.rounds, sat.seq),
-        "net_seq": net._sat_seq,
         "hops_per_round": net.rotation_log.hops_per_round(),
+        "timers": {sid: t.deadline if t.running else None
+                   for sid, t in net.recovery.timers.items()},
     }
     for sid in sorted(net.stations):
         st = net.stations[sid]
@@ -57,278 +49,82 @@ def snapshot(net):
     return state
 
 
-def timer_deadlines(net):
-    return {sid: t.deadline if t.running else None
-            for sid, t in net.recovery.timers.items()}
-
-
-# ======================================================================
-class TestHopPlan:
-    """hop_plan's closed-form visit counts vs a brute-force walk."""
-
-    @pytest.mark.parametrize("n,i1,K", [
-        (1, 0, 1), (1, 0, 7),
-        (3, 0, 1), (3, 2, 2), (3, 1, 9),
-        (5, 0, 5), (5, 3, 17), (5, 4, 4),
-        (16, 7, 1000), (16, 0, 16), (16, 15, 15),
-    ])
-    def test_matches_brute_force(self, n, i1, K):
-        offsets, counts, last_j = hop_plan(n, i1, K)
-        brute_counts = [0] * n
-        brute_last = [-1] * n
-        for j in range(K):
-            d = j % n
-            brute_counts[d] += 1
-            brute_last[d] = j
-        assert list(offsets) == list(range(n))
-        assert list(counts) == brute_counts
-        assert list(last_j) == brute_last
-
-    def test_total_visits_is_k(self):
-        _, counts, _ = hop_plan(7, 3, 123)
-        assert int(counts.sum()) == 123
-
-
-# ======================================================================
-class TestColumnState:
-    def test_round_trip_after_scalar_run(self):
-        engine, net = make_net(6)
-        net.start()
-        net.enqueue(pkt(0, 3))
-        engine.run(until=100.0)
-        cols = ColumnState(net)
-        cols.sync_from_network()
-        assert cols.verify_against(net) == []
-
-    def test_verify_catches_corruption(self):
-        engine, net = make_net(4)
-        net.start()
-        engine.run(until=50.0)
-        cols = ColumnState(net)
-        cols.sync_from_network()
-        cols.sat_visits[2] += 1
-        mismatches = cols.verify_against(net)
-        assert mismatches and any("sat_visits" in m for m in mismatches)
-
-
-# ======================================================================
-class TestInstallation:
-    def test_install_after_start_rejected(self):
-        engine, net = make_net(4)
-        net.start()
-        with pytest.raises(RuntimeError):
-            install_batched_kernel(net)
-
-    def test_double_install_rejected(self):
-        engine, net = make_net(4)
-        install_batched_kernel(net)
-        with pytest.raises(RuntimeError):
-            install_batched_kernel(net)
+def one_run(until=HORIZON, **cfg_kwargs):
+    """Snapshot of the reference: a single ``run`` straight to ``until``."""
+    engine, net = make_net(**cfg_kwargs)
+    engine.run(until=until)
+    assert engine.now == until
+    return snapshot(net)
 
 
 # ======================================================================
 class TestFastForward:
-    def test_idle_ring_fast_forwards(self):
-        engine, net = make_net(8)
-        kern = install_batched_kernel(net)
-        net.start()
-        engine.run(until=5000.0)
-        assert kern.ff_jumps > 0
-        assert kern.ff_slots_skipped > 0
-        assert engine.now == 5000.0
+    """Run-window edges that any idle jump to the next SAT hop must
+    respect: mid-gap arrivals, off-grid ``until``, resumed chunks and
+    multi-slot SAT hops."""
 
-    def test_idle_parity_with_scalar(self):
-        (se, sn), (be, bn, kern) = make_pair(8)
-        sn.start(); bn.start()
-        se.run(until=5000.0); be.run(until=5000.0)
-        assert snapshot(bn) == snapshot(sn)
-        assert timer_deadlines(bn) == timer_deadlines(sn)
+    def test_mid_gap_enqueue_parity(self):
+        engine, net = make_net()
+        for upto in (ARRIVAL - 0.25, ARRIVAL, ARRIVAL + 0.5, HORIZON):
+            engine.run(until=upto)
+        assert net.stations[4].received[ServiceClass.PREMIUM] == 1
+        assert snapshot(net) == one_run()
+
+    def test_fractional_until_clamps_identically(self):
+        engine, net = make_net(8)
+        engine.run(until=600.25)
+        engine.run(until=1234.5)
+        assert engine.now == 1234.5
+        assert snapshot(net) == one_run(1234.5, n=8)
+
+    def test_resume_across_run_chunks(self):
+        # state must survive run() returning and being called again
+        engine, net = make_net()
+        for upto in (300.0, 301.0, 950.5, HORIZON):
+            engine.run(until=upto)
+            assert snapshot(net) == one_run(upto), \
+                f"diverged at until={upto}"
 
     def test_multi_slot_hop_parity(self):
         # SAT hop latency > 1 slot: hop times stride the slot grid
-        (se, sn), (be, bn, kern) = make_pair(6, sat_hop_slots=3)
-        sn.start(); bn.start()
-        se.run(until=4000.0); be.run(until=4000.0)
-        assert kern.ff_jumps > 0
-        assert snapshot(bn) == snapshot(sn)
-        assert timer_deadlines(bn) == timer_deadlines(sn)
-
-    def test_jump_never_crosses_pending_event(self):
-        # an agenda event mid-gap (a traffic arrival) bounds every jump:
-        # the skipped range must end strictly before it
-        engine, net = make_net(6)
-        kern = install_batched_kernel(net)
-        seen = []
-        net.start()
-
-        def arrival():
-            seen.append(engine.now)
-            net.enqueue(pkt(2, 4, created=engine.now))
-
-        engine.schedule_at(777.25, arrival)
-        engine.run(until=2000.0)
-        assert seen == [777.25]
-        delivered = net.stations[4].received[ServiceClass.PREMIUM]
-        assert delivered == 1
-        assert kern.buffered == 0
-        assert engine.now == 2000.0
-
-    def test_mid_gap_enqueue_parity(self):
-        (se, sn), (be, bn, kern) = make_pair(6)
-        for eng, net in ((se, sn), (be, bn)):
-            net.start()
-            eng.schedule_at(
-                777.25,
-                lambda n=net, e=eng: n.enqueue(pkt(2, 4, created=e.now)))
-            eng.run(until=2000.0)
-        assert snapshot(bn) == snapshot(sn)
-
-    def test_fractional_until_clamps_identically(self):
-        (se, sn), (be, bn, kern) = make_pair(8)
-        sn.start(); bn.start()
-        se.run(until=1234.5); be.run(until=1234.5)
-        assert se.now == be.now == 1234.5
-        assert snapshot(bn) == snapshot(sn)
-
-    def test_resume_across_run_chunks(self):
-        # state must survive run() returning and being called again —
-        # the pending tick left behind by a jump is where scalar would be
-        (se, sn), (be, bn, kern) = make_pair(6)
-        sn.start(); bn.start()
-        for upto in (300.0, 301.0, 950.5, 2000.0):
-            se.run(until=upto); be.run(until=upto)
-            assert snapshot(bn) == snapshot(sn), f"diverged at until={upto}"
-
-    def test_saturated_ring_never_fast_forwards(self):
-        engine, net = make_net(4, l=1, k=1)
-        kern = install_batched_kernel(net)
-        net.start()
-        for sid in range(4):
-            for _ in range(3):
-                net.enqueue(pkt(sid, (sid + 1) % 4,
-                                service=ServiceClass.BEST_EFFORT))
-        engine.run(until=5.0)
-        assert kern.ff_jumps == 0
-
-
-# ======================================================================
-def metrics_state(net):
-    """Sample-order-exact view of the delay/deadline metrics."""
-    mt = net.metrics
-    from repro.core.diffserv import COLUMN_CLASSES
-    return {
-        "transmitted": dict(mt.transmitted),
-        "delivered": dict(mt.delivered),
-        "access": [list(mt.access_delay[c].samples) for c in COLUMN_CLASSES],
-        "e2e": [list(mt.e2e_delay[c].samples) for c in COLUMN_CLASSES],
-        "deadlines": (mt.deadlines.met, mt.deadlines.missed,
-                      list(mt.deadlines.miss_lateness)),
-    }
-
-
-def prefill_successor(net, rt=0, be=0, deadline=None):
-    for sid in net.members:
-        dst = net.successor(sid)
-        for _ in range(rt):
-            net.enqueue(pkt(sid, dst, deadline=deadline))
-        for _ in range(be):
-            net.enqueue(pkt(sid, dst, service=ServiceClass.BEST_EFFORT))
-
-
-class TestSaturatedWindow:
-    """The vectorized saturated path in trace-off bulk mode: whole SAT
-    windows advanced analytically, byte-identical to the scalar kernel.
-    (Replay mode — every tracing run — is pinned by the parity grid's
-    saturated scenarios, seeds 23-25.)"""
-
-    def test_bulk_window_matches_scalar(self):
-        (se, sn), (be, bn, kern) = make_pair(6, l=2, k=1)
-        sn.start(); bn.start()
-        prefill_successor(sn, rt=40, be=20)
-        prefill_successor(bn, rt=40, be=20)
-        se.run(until=600.0); be.run(until=600.0)
-        assert kern.sat_windows > 0
-        assert kern.sat_slots > 100
-        assert snapshot(bn) == snapshot(sn)
-        assert metrics_state(bn) == metrics_state(sn)
-
-    def test_deadline_classification_matches_scalar(self):
-        # tight deadlines so the analytic window classifies misses
-        (se, sn), (be, bn, kern) = make_pair(6, l=1, k=1)
-        sn.start(); bn.start()
-        prefill_successor(sn, rt=30, deadline=40.0)
-        prefill_successor(bn, rt=30, deadline=40.0)
-        se.run(until=400.0); be.run(until=400.0)
-        assert kern.sat_windows > 0
-        assert snapshot(bn) == snapshot(sn)
-        state = metrics_state(bn)
-        assert state == metrics_state(sn)
-        assert state["deadlines"][1] > 0, "no misses; test is vacuous"
-
-    def test_nonsuccessor_traffic_keeps_gate_closed(self):
-        engine, net = make_net(6, l=2, k=1)
-        kern = install_batched_kernel(net)
-        net.start()
-        prefill_successor(net, rt=10)
-        # one two-hop packet: transit forwarding breaks the all-successor
-        # precondition, so the analytic window must never engage
-        net.enqueue(pkt(0, 2))
-        engine.run(until=300.0)
-        assert kern.sat_windows == 0
-
-    def test_drained_ring_hands_back_to_fast_forward(self):
-        # after the backlog drains, the quiescent fast-forward takes over
-        engine, net = make_net(6, l=2, k=1)
-        kern = install_batched_kernel(net)
-        net.start()
-        prefill_successor(net, rt=5, be=3)
-        engine.run(until=2000.0)
-        assert kern.sat_windows > 0
-        assert kern.ff_jumps > 0
-        assert net.metrics.total_delivered == 6 * 8
+        engine, net = make_net(sat_hop_slots=3)
+        for upto in (300.0, 301.0, 950.5, 1234.5, HORIZON):
+            engine.run(until=upto)
+            assert engine.now == upto
+        assert snapshot(net) == one_run(sat_hop_slots=3)
 
 
 # ======================================================================
 class TestBudgetAndStop:
     def test_max_events_budget_matches_scalar_clock(self):
-        # budgeted runs must fall back to slot-at-a-time so chunk
-        # boundaries land exactly where the scalar driver puts them
-        (se, sn), (be, bn, kern) = make_pair(5)
-        sn.start(); bn.start()
+        # budgeted chunks end at the same clock on identical rings, short
+        # of the window, and the budgeted run then ends where one run does
+        runs = [make_net(5), make_net(5)]
         for _ in range(40):
-            se.run(until=10_000.0, max_events=7)
-            be.run(until=10_000.0, max_events=7)
-            assert be.now == se.now
-        assert snapshot(bn) == snapshot(sn)
+            clocks = []
+            for engine, _net in runs:
+                engine.run(until=HORIZON, max_events=7)
+                clocks.append(engine.now)
+            assert clocks[0] == clocks[1] < HORIZON
+        engine, net = runs[0]
+        engine.run(until=HORIZON)
+        assert snapshot(net) == one_run(n=5)
 
     def test_budget_then_unbudgeted_resume(self):
-        (se, sn), (be, bn, kern) = make_pair(5)
-        sn.start(); bn.start()
-        se.run(until=10_000.0, max_events=13)
-        be.run(until=10_000.0, max_events=13)
-        se.run(until=800.0); be.run(until=800.0)
-        assert be.now == se.now == 800.0
-        assert snapshot(bn) == snapshot(sn)
+        engine, net = make_net(5)
+        engine.run(until=10_000.0, max_events=13)
+        assert engine.now < 800.0
+        engine.run(until=800.0)
+        assert engine.now == 800.0
+        assert snapshot(net) == one_run(800.0, n=5)
 
     def test_stop_mid_run_leaves_consistent_clock(self):
-        (se, sn), (be, bn, kern) = make_pair(5)
-        sn.start(); bn.start()
-        se.schedule_at(97.5, se.stop)
-        be.schedule_at(97.5, be.stop)
-        se.run(until=5000.0); be.run(until=5000.0)
-        assert be.now == se.now
-        assert snapshot(bn) == snapshot(sn)
-        # and both resume cleanly after the stop
-        se.run(until=500.0); be.run(until=500.0)
-        assert snapshot(bn) == snapshot(sn)
+        engine, net = make_net(5)
+        engine.schedule_at(97.5, engine.stop)
+        engine.run(until=5000.0)
+        assert engine.now == 97.5
+        assert snapshot(net) == one_run(97.5, n=5)
+        # and it resumes cleanly after the stop
+        engine.run(until=500.0)
+        assert snapshot(net) == one_run(500.0, n=5)
 
-    def test_jump_clock_is_exact_after_ff(self):
-        engine, net = make_net(8)
-        kern = install_batched_kernel(net)
-        net.start()
-        engine.run(until=3000.0)
-        assert kern.ff_jumps > 0
-        assert float(engine.now).is_integer() or engine.now == 3000.0
-        assert engine.now == 3000.0
-        # the SAT's bookkeeping is still on the hop lattice
-        assert net.sat.arrival_time == math.floor(net.sat.arrival_time)

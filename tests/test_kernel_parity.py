@@ -1,36 +1,40 @@
-"""Differential tests: the batched kernel must be byte-identical to scalar.
+"""Legacy-kernel parity: inputs that still name the retired batched kernel.
 
-This is the enforcement arm of the equivalence contract in docs/KERNEL.md:
-every checked-in fuzz corpus bundle and every scenario in the pinned seeded
-grid is replayed through both kernels, and every observable — trace hash,
-summary, per-station tables, rotation samples, final clock — must match
-exactly.  ``events_executed`` is the single excluded statistic (the batched
-driver dispatches fewer agenda events by design).
+Configs, fuzz bundles and campaign points written while the simulator had a
+second (batched) tick driver may carry ``"kernel": "batched"``.  The key is
+accepted and ignored, so every such input must replay byte-identically to
+the golden hashes recorded from the scalar kernel: the checked-in corpus,
+the pinned seeded grid and a slice of the fuzz generator's output.
 """
 
-import glob
 import os
 
 import pytest
 
-from repro.fuzz.bundle import load_bundle
+from repro.config_io import scenario_from_dict, scenario_to_dict
 from repro.fuzz.generate import FuzzCase, generate_case
-from repro.kernel.diff import diff_fuzz_case, diff_scenario, seeded_grid
 
-CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
-CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
+from .test_golden_hashes import (CORPUS, GEN_SEED, _golden, bundle_case,
+                                 case_hashes, scenario_hashes, seeded_grid)
+
 GRID = seeded_grid()
 
 
-class TestCorpusParity:
-    """Every checked-in repro bundle runs identically under both kernels."""
+def batched(case: FuzzCase) -> FuzzCase:
+    """``case`` as written when it asked for the batched kernel."""
+    data = case.to_dict()
+    return FuzzCase.from_dict(
+        {**data, "scenario": {**data["scenario"], "kernel": "batched"}})
 
-    @pytest.mark.parametrize("path", CORPUS,
+
+class TestCorpusParity:
+    """Every checked-in repro bundle, marked batched, matches its golden."""
+
+    @pytest.mark.parametrize("name", [os.path.basename(p) for p in CORPUS],
                              ids=[os.path.basename(p) for p in CORPUS])
-    def test_bundle_parity(self, path):
-        case = FuzzCase.from_dict(load_bundle(path)["case"])
-        diff = diff_fuzz_case(case, label=os.path.basename(path))
-        assert diff.ok, diff.describe()
+    def test_bundle_parity(self, name):
+        assert (case_hashes(batched(bundle_case(name)))
+                == _golden()["corpus"][name])
 
     def test_corpus_is_nonempty(self):
         # the sweep above is vacuous if the corpus dir ever goes missing
@@ -38,65 +42,24 @@ class TestCorpusParity:
 
 
 class TestSeededGridParity:
-    """The pinned scenario grid covers one regime per protocol feature:
-    idle rings (fast-forward saturated), sparse/periodic/bursty traffic,
-    saturation (no fast-forward), RAP joins, kills, leaves, SAT loss,
-    invariant checkers, and off-grid run windows."""
+    """The pinned scenario grid, round-tripped through a config that names
+    the batched kernel: one scenario per protocol regime."""
 
     @pytest.mark.parametrize("idx", range(len(GRID)),
                              ids=[f"seed{s.seed}-{s.traffic.kind}"
                                   for s in GRID])
     def test_grid_point_parity(self, idx):
-        diff = diff_scenario(GRID[idx], label=f"grid[{idx}]")
-        assert diff.ok, diff.describe()
-
-
-class TestFabricKernelParity:
-    """Per-ring kernel choice must not change fabric-level behaviour."""
-
-    def _result(self, topo, mode, kernel):
-        from repro.fabric import FabricRunner
-        with FabricRunner(topo, mode=mode, trace=True,
-                          kernel=kernel) as runner:
-            runner.run()
-            return runner.result(include_trace=True)
-
-    def test_serial_fabric_cross_kernel(self):
-        from repro.fabric import Topology
-        topo = Topology(rings=2, ring_size=6, layout="chain", cross_flows=2,
-                        horizon=600.0, seed=5)
-        scalar = self._result(topo, "serial", "scalar")
-        batched = self._result(topo, "serial", "batched")
-        assert scalar.trace_hash() == batched.trace_hash()
-        assert scalar.flow_table() == batched.flow_table()
-        # the ring table's trailing "events" column is engine
-        # events_executed — the one excluded statistic; strip it
-        def sans_events(table):
-            return ["".join(line.split()[:-1])
-                    for line in table.splitlines()]
-        assert sans_events(scalar.ring_table()) == \
-            sans_events(batched.ring_table())
-
-    def test_sharded_fabric_matches_serial_under_batched(self):
-        from repro.fabric import Topology
-        from repro.fabric.merge import merged_trace_lines
-        topo = Topology(rings=2, ring_size=6, layout="chain", cross_flows=2,
-                        horizon=600.0, seed=7)
-        serial = self._result(topo, "serial", "batched")
-        sharded = self._result(topo, "sharded", "batched")
-        assert serial.trace_hash() == sharded.trace_hash()
-        assert serial.ring_table() == sharded.ring_table()
-        assert serial.flow_table() == sharded.flow_table()
-        assert merged_trace_lines(serial) == merged_trace_lines(sharded)
+        scenario = scenario_from_dict(
+            {**scenario_to_dict(GRID[idx]), "kernel": "batched"})
+        assert scenario_hashes(scenario) == _golden()["grid"][str(idx)]
 
 
 class TestGeneratedCaseParity:
     """A pinned slice of the fuzz generator's output (random topologies,
     impairments, channels, fault schedules, irregular ``max_events``
-    drive chunks) replayed through both kernels."""
+    drive chunks), marked batched."""
 
     @pytest.mark.parametrize("index", range(25))
     def test_generated_case_parity(self, index):
-        case = generate_case(20260808, index)
-        diff = diff_fuzz_case(case, label=f"gen[{index}]")
-        assert diff.ok, diff.describe()
+        assert (case_hashes(batched(generate_case(GEN_SEED, index)))
+                == _golden()["generated"][str(index)])

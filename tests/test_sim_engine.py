@@ -485,35 +485,6 @@ class TestSlotGridSnapping:
         assert times == [0.5, 1.25]
 
 
-class TestAdvanceTo:
-    def test_advance_to_moves_clock(self):
-        eng = Engine()
-        eng.schedule(10.0, lambda: None)
-        eng.advance_to(7.0)
-        assert eng.now == 7.0
-
-    def test_advance_to_past_rejected(self):
-        eng = Engine()
-        eng.schedule(5.0, lambda: None)
-        eng.run()
-        with pytest.raises(SchedulingError):
-            eng.advance_to(4.0)
-
-    def test_advance_past_pending_event_rejected(self):
-        eng = Engine()
-        eng.schedule(3.0, lambda: None)
-        with pytest.raises(SimulationError):
-            eng.advance_to(5.0)
-
-    def test_advance_to_skips_cancelled_obstacle(self):
-        eng = Engine()
-        h = eng.schedule(3.0, lambda: None)
-        eng.schedule(9.0, lambda: None)
-        h.cancel()
-        eng.advance_to(5.0)
-        assert eng.now == 5.0
-
-
 class TestPropertyBased:
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6,
                               allow_nan=False, allow_infinity=False),
