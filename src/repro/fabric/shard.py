@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.campaign.sweep import canonical_json
 from repro.core.packet import Packet
 from repro.events.bus import NULL_EMITTER
 from repro.events.types import (GatewayBuffer, GatewayDrop, GatewayForward,
@@ -30,6 +29,7 @@ from repro.fabric.frames import FabricFrame
 from repro.fabric.topology import Topology
 from repro.scenarios import build_scenario
 from repro.sim.rng import RandomStreams
+from repro.sim.trace import chunk_encoder
 
 __all__ = ["RingShard"]
 
@@ -288,8 +288,11 @@ class RingShard:
         """The shard's trace as canonical JSON lines (pid-free by
         construction of the trace stream, hence mode-independent)."""
         ring = self.ring
-        return [canonical_json({"t": ev.time, "ring": ring,
-                                "cat": ev.category, "fields": ev.fields})
+        # canonical_json's arguments, one encoder for the whole trace
+        encode = chunk_encoder(sort_keys=True, separators=(",", ":"),
+                               default=str)
+        return ["".join(encode({"t": ev.time, "ring": ring,
+                                "cat": ev.category, "fields": ev.fields}))
                 for ev in self.trace.events]
 
     def report(self, include_trace: bool = False) -> Dict[str, Any]:

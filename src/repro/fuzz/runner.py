@@ -17,7 +17,6 @@ corrupts an experiment.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -32,17 +31,44 @@ from repro.fuzz.oracles import (ClockProbe, FuzzFailure, PacketLedger,
                                 false_trigger_oracle_applies,
                                 rotation_bound_applies)
 from repro.scenarios import ScenarioResult, build_scenario
+from repro.sim.trace import chunk_encoder
 
 __all__ = ["FuzzResult", "run_case", "hash_trace"]
 
 
+#: records encoded per ``sha256.update``: enough to amortise the join and
+#: the update, few enough that one chunk's text stays small
+HASH_CHUNK = 1024
+
+
 def hash_trace(trace) -> str:
-    """Canonical SHA-256 over the structured event trace."""
+    """Canonical SHA-256 over the structured event trace.
+
+    The digest covers, for every record in order, the bytes of
+    ``json.dumps([time, category, fields], sort_keys=True, default=str)``
+    followed by ``b"\\n"``: separators ``", "`` and ``": "``, dict keys
+    sorted, floats by ``repr`` with ``NaN``/``Infinity``/``-Infinity`` for
+    the non-finite ones.  ``ensure_ascii`` keeps its default (true), so
+    the text is pure ASCII: non-ASCII characters become ``\\uXXXX`` escapes
+    and control characters JSON's short or ``\\u00XX`` escapes.
+    ``default=str`` renders any value JSON cannot encode (an enum, a set,
+    an arbitrary object) as the JSON string of its ``str``.
+
+    The records go through one reused encoder and reach the hash
+    :data:`HASH_CHUNK` records at a time.  SHA-256 over a concatenation
+    does not depend on how it is split, so chunking leaves the digest
+    unchanged.
+    """
+    encode = chunk_encoder(sort_keys=True, default=str)
     h = hashlib.sha256()
-    for ev in trace.events:
-        h.update(json.dumps([ev.time, ev.category, ev.fields],
-                            sort_keys=True, default=str).encode())
-        h.update(b"\n")
+    events = trace.events
+    for start in range(0, len(events), HASH_CHUNK):
+        parts: List[str] = []
+        extend, append = parts.extend, parts.append
+        for ev in events[start:start + HASH_CHUNK]:
+            extend(encode([ev.time, ev.category, ev.fields]))
+            append("\n")
+        h.update("".join(parts).encode())
     return h.hexdigest()
 
 

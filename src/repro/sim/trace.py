@@ -23,25 +23,69 @@ hashes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+import json
+import json.encoder
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence)
 
-__all__ = ["TraceEvent", "TraceRecorder", "NullTraceRecorder"]
+__all__ = ["TraceEvent", "TraceRecorder", "NullTraceRecorder",
+           "chunk_encoder"]
 
 
-@dataclass(frozen=True)
 class TraceEvent:
     """One recorded fact: ``time``, ``category`` and free-form ``fields``."""
 
-    time: float
-    category: str
-    fields: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("time", "category", "fields")
+
+    def __init__(self, time: float, category: str,
+                 fields: Optional[Dict[str, Any]] = None) -> None:
+        self.time = time
+        self.category = category
+        self.fields = {} if fields is None else fields
 
     def __getitem__(self, key: str) -> Any:
         return self.fields[key]
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.fields.get(key, default)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.time, self.category, self.fields)
+                == (other.time, other.category, other.fields))
+
+    __hash__ = None  # type: ignore[assignment]  # ``fields`` is a dict
+
+    def __repr__(self) -> str:
+        return (f"TraceEvent(time={self.time!r}, category={self.category!r}, "
+                f"fields={self.fields!r})")
+
+
+def chunk_encoder(**dumps_kwargs: Any) -> Callable[[Any], Sequence[str]]:
+    """``json.dumps(obj, **dumps_kwargs)`` with the encoder built once.
+
+    Returns ``encode(obj)``: a sequence of strings whose concatenation is
+    exactly ``json.dumps(obj, **dumps_kwargs)``.  ``json.dumps`` with any
+    non-default argument builds a new encoder per call, which dominates
+    the cost of encoding many small trace records; this builds the C
+    encoder once, with the arguments ``JSONEncoder.iterencode`` passes it,
+    and falls back to one reused ``JSONEncoder(...).encode`` when the C
+    accelerator is missing.  Use one encoder per batch and drop it if an
+    encode raises: like ``json.dumps``'s own, its circular-reference
+    markers are not cleaned up on error.
+    """
+    enc = json.JSONEncoder(**dumps_kwargs)
+    make = json.encoder.c_make_encoder
+    if make is None or enc.indent is not None:
+        encode = enc.encode
+        return lambda obj: (encode(obj),)
+    c_encode = make({} if enc.check_circular else None, enc.default,
+                    json.encoder.encode_basestring_ascii if enc.ensure_ascii
+                    else json.encoder.encode_basestring,
+                    enc.indent, enc.key_separator, enc.item_separator,
+                    enc.sort_keys, enc.skipkeys, enc.allow_nan)
+    return lambda obj: c_encode(obj, 0)
 
 
 class TraceRecorder:
@@ -60,7 +104,6 @@ class TraceRecorder:
         self._globally_enabled = enabled
         self._category_enabled: Dict[str, bool] = {c: False for c in self.OPT_IN}
         self._default_enabled = True
-        self.counts: Dict[str, int] = {}
         self._by_category: Dict[str, List[TraceEvent]] = {}
 
     # ------------------------------------------------------------------
@@ -94,11 +137,12 @@ class TraceRecorder:
         """Like :meth:`record` but takes the field dict directly (the hot
         path for the event-bus trace adapter — no kwargs repack).  The
         recorder takes ownership of *fields*."""
-        if not self.is_enabled(category):
+        # is_enabled, inlined: this runs once per traced event
+        if not (self._globally_enabled and self._category_enabled.get(
+                category, self._default_enabled)):
             return
         event = TraceEvent(time, category, fields)
         self.events.append(event)
-        self.counts[category] = self.counts.get(category, 0) + 1
         bucket = self._by_category.get(category)
         if bucket is None:
             bucket = self._by_category[category] = []
@@ -128,7 +172,7 @@ class TraceRecorder:
         return out
 
     def count(self, category: str) -> int:
-        return self.counts.get(category, 0)
+        return len(self._by_category.get(category, ()))
 
     def times(self, category: str) -> List[float]:
         return [ev.time for ev in self._by_category.get(category, [])]
@@ -139,7 +183,6 @@ class TraceRecorder:
 
     def clear(self) -> None:
         self.events.clear()
-        self.counts.clear()
         self._by_category.clear()
 
     # ------------------------------------------------------------------
@@ -154,7 +197,6 @@ class TraceRecorder:
         arbitrary protocol state can always be exported for offline
         analysis.
         """
-        import json
         from pathlib import Path
 
         def default(value):
@@ -172,12 +214,14 @@ class TraceRecorder:
         """Reload a trace exported with :meth:`to_jsonl`.
 
         Reads both the namespaced format and the legacy flat layout (fields
-        spread beside ``time``/``category``) from older exports.
+        spread beside ``time``/``category``) from older exports.  The export
+        holds only categories that were enabled when it was recorded, so the
+        reloaded recorder enables the opt-in ones too and keeps every record.
         """
-        import json
         from pathlib import Path
 
         recorder = TraceRecorder()
+        recorder.enable(*TraceRecorder.OPT_IN)
         with Path(path).open() as fh:
             for line in fh:
                 data = json.loads(line)
@@ -187,7 +231,7 @@ class TraceRecorder:
                     fields = data["fields"]
                 else:
                     fields = data
-                recorder.record(time, category, **fields)
+                recorder.record_fields(time, category, fields)
         return recorder
 
     def __len__(self) -> int:

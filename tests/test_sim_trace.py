@@ -1,6 +1,8 @@
 """Unit tests for the trace recorder."""
 
-from repro.sim import TraceRecorder, NullTraceRecorder
+import pytest
+
+from repro.sim import TraceEvent, TraceRecorder, NullTraceRecorder
 
 
 class TestRecording:
@@ -56,6 +58,28 @@ class TestRecording:
         tr.clear()
         assert len(tr) == 0
         assert tr.count("x") == 0
+
+
+class TestTraceEvent:
+    def test_equality_is_by_value(self):
+        assert TraceEvent(1.0, "x", {"a": 1}) == TraceEvent(1.0, "x", {"a": 1})
+        assert TraceEvent(1.0, "x", {"a": 1}) != TraceEvent(1.0, "x", {"a": 2})
+        assert TraceEvent(1.0, "x", {"a": 1}) != TraceEvent(2.0, "x", {"a": 1})
+        assert TraceEvent(1.0, "x") != (1.0, "x", {})
+
+    def test_repr_names_every_field(self):
+        assert (repr(TraceEvent(1.0, "x", {"a": 1}))
+                == "TraceEvent(time=1.0, category='x', fields={'a': 1})")
+
+    def test_fields_default_to_a_fresh_dict(self):
+        a, b = TraceEvent(1.0, "x"), TraceEvent(1.0, "x")
+        assert a.fields == {} and a.fields is not b.fields
+
+    def test_slotted_and_unhashable(self):
+        ev = TraceEvent(1.0, "x", {})
+        assert not hasattr(ev, "__dict__")
+        with pytest.raises(TypeError):
+            hash(ev)
 
 
 class TestFiltering:
@@ -213,6 +237,40 @@ class TestExport:
         back = TraceRecorder.from_jsonl(path)
         rotations = back.select("sat.rotation")
         assert rotations and all(ev["rotation"] == 4.0 for ev in rotations)
+
+    def test_opt_in_records_survive_reload(self, tmp_path):
+        tr = TraceRecorder()
+        tr.enable("slot.occupancy")
+        tr.record(1.0, "slot.occupancy", busy=1, capacity=4)
+        tr.record(1.0, "sat.release", station=0)
+        path = tmp_path / "trace.jsonl"
+        assert tr.to_jsonl(path) == 2
+        back = TraceRecorder.from_jsonl(path)
+        assert back.events == tr.events
+        assert back.count("slot.occupancy") == 1
+
+    def test_timeline_run_round_trips_exactly(self, tmp_path):
+        """A live run with the timeline's opt-in categories on reloads to
+        the same events and the same canonical trace hash."""
+        from repro.faults import FaultSchedule
+        from repro.fuzz.runner import hash_trace
+        from repro.obs import enable_timeline_categories
+        from repro.scenarios import Scenario, TrafficMix, build_scenario
+
+        built = build_scenario(Scenario(
+            n=6, horizon=1000.0, seed=3, rap_enabled=True,
+            traffic=TrafficMix(kind="poisson", rate=0.05),
+            faults=FaultSchedule.builder().kill(2, at=400).build()))
+        enable_timeline_categories(built.trace, built.network)
+        built.engine.run(until=1000.0)
+        assert built.trace.count("slot.occupancy") > 0
+        assert built.trace.count("sat.arrive") > 0
+
+        path = tmp_path / "run.jsonl"
+        assert built.trace.to_jsonl(path) == len(built.trace)
+        back = TraceRecorder.from_jsonl(path)
+        assert back.events == built.trace.events
+        assert hash_trace(back) == hash_trace(built.trace)
 
 
 class TestNullRecorder:
