@@ -35,10 +35,11 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional
 
-from repro.config_io import scenario_from_dict, scenario_to_dict
-from repro.scenarios import Scenario
+from repro.config_io import (check_scenario_key, from_dict,
+                             scenario_from_dict, scenario_to_dict, to_dict)
+from repro.scenarios import Scenario, schema_field
 from repro.sim.rng import RandomStreams
 
 __all__ = ["Sweep", "SweepPoint", "sweep_from_dict", "sweep_to_dict"]
@@ -102,18 +103,22 @@ class Sweep:
     """A declarative campaign: base scenario + the points to visit."""
 
     base: Scenario = field(default_factory=Scenario)
-    axes: Optional[Mapping[str, Sequence[Any]]] = None
     mode: str = "grid"                       # "grid" | "zip"
-    points: Optional[Sequence[Mapping[str, Any]]] = None
-    name: str = ""
     seed: int = 0                            #: master seed for derivation
     derive_seeds: bool = True
-    #: a :class:`repro.fabric.Topology` (or its dict form) — when set the
-    #: sweep ranges over fabric runs and ``base`` is ignored (the topology
-    #: carries its own per-ring base scenario)
-    topology: Optional[Any] = None
+    name: str = schema_field("", sparse=True)
+    axes: Optional[Dict[str, List[Any]]] = schema_field(None, sparse=True)
+    points: Optional[List[Dict[str, Any]]] = schema_field(None, sparse=True)
+    #: a :class:`repro.fabric.Topology` (kept as its dict form) — when set
+    #: the sweep ranges over fabric runs and ``base`` is ignored (the
+    #: topology carries its own per-ring base scenario)
+    topology: Optional[Dict[str, Any]] = schema_field(None, sparse=True)
 
     def __post_init__(self) -> None:
+        if self.topology is not None and not isinstance(self.topology,
+                                                        Mapping):
+            from repro.fabric.topology import topology_to_dict
+            self.topology = topology_to_dict(self.topology)
         if self.mode not in ("grid", "zip"):
             raise ValueError(f"unknown sweep mode {self.mode!r}")
         if (self.axes is None) == (self.points is None):
@@ -141,18 +146,23 @@ class Sweep:
     def _base_dict(self) -> Dict[str, Any]:
         if self.topology is None:
             return scenario_to_dict(self.base)
-        if isinstance(self.topology, Mapping):
-            return json.loads(json.dumps(self.topology))
-        from repro.fabric.topology import topology_to_dict
-        return topology_to_dict(self.topology)
+        return json.loads(json.dumps(self.topology))
 
     def expand(self) -> List[SweepPoint]:
-        """Materialize every point, in deterministic sweep order."""
+        """Materialize every point, in deterministic sweep order.  Every
+        override key is checked against the schema first (bad *values*
+        still fail per point)."""
         base_dict = self._base_dict()
+        override_sets = self._override_sets()
+        check = check_scenario_key
+        if self.topology is not None:
+            from repro.fabric.topology import check_topology_key as check
+        for key in sorted({k for o in override_sets for k in o}):
+            check(key)
         streams = RandomStreams(self.seed)
         out: List[SweepPoint] = []
         seen: Dict[str, int] = {}
-        for index, overrides in enumerate(self._override_sets()):
+        for index, overrides in enumerate(override_sets):
             key = canonical_json(overrides)
             if key in seen:
                 raise ValueError(f"duplicate sweep point {key} "
@@ -173,36 +183,10 @@ class Sweep:
 # ----------------------------------------------------------------------
 def sweep_to_dict(sweep: Sweep) -> Dict[str, Any]:
     """JSON-serializable description of ``sweep``."""
-    out: Dict[str, Any] = {
-        "base": scenario_to_dict(sweep.base),
-        "mode": sweep.mode,
-        "seed": sweep.seed,
-        "derive_seeds": sweep.derive_seeds,
-    }
-    if sweep.name:
-        out["name"] = sweep.name
-    if sweep.axes is not None:
-        out["axes"] = {k: list(v) for k, v in sweep.axes.items()}
-    if sweep.points is not None:
-        out["points"] = [dict(p) for p in sweep.points]
-    if sweep.topology is not None:
-        out["topology"] = sweep._base_dict()
-    return out
+    return to_dict(sweep)
 
 
 def sweep_from_dict(data: Mapping[str, Any]) -> Sweep:
     """Build a Sweep from the dict shape :func:`sweep_to_dict` emits."""
-    known = {"base", "mode", "seed", "derive_seeds", "name", "axes",
-             "points", "topology"}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown sweep keys: {sorted(unknown)}")
     base = scenario_from_dict(data.get("base", {}))
-    return Sweep(base=base,
-                 axes=data.get("axes"),
-                 mode=data.get("mode", "grid"),
-                 points=data.get("points"),
-                 name=data.get("name", ""),
-                 seed=data.get("seed", 0),
-                 derive_seeds=data.get("derive_seeds", True),
-                 topology=data.get("topology"))
+    return from_dict(Sweep, {**data, "base": base}, "sweep")

@@ -37,8 +37,61 @@ from typing import List, Optional
 
 __all__ = ["main", "build_parser"]
 
+#: scenario fields ``simulate`` exposes as flags (see _add_flags)
+_SIMULATE_FIELDS = ("n", "l", "k", "horizon", "seed", "traffic.kind",
+                    "traffic.rate", "traffic.period", "traffic.peak_rate",
+                    "traffic.mean_on", "traffic.mean_off", "traffic.burst",
+                    "traffic.service", "traffic.deadline", "rap_enabled",
+                    "check_invariants", "adaptive_timers")
+#: simulate flags that still apply on top of --config
+_CONFIG_FLAGS = ("adaptive_timers",)
+#: the base-scenario fields ``sweep`` exposes (its --seed is the campaign's)
+_SWEEP_FIELDS = ("n", "l", "k", "horizon", "traffic.kind", "traffic.rate",
+                 "traffic.period", "traffic.burst")
+#: the Topology fields ``fabric`` exposes
+_FABRIC_FIELDS = ("rings", "ring_size", "layout", "gateway_placement",
+                  "cross_flows", "flow_kind", "flow_rate", "flow_period",
+                  "flow_service", "flow_deadline", "min_ring_hops",
+                  "gateway_buffer", "frame_ttl", "sync_window", "horizon",
+                  "seed")
+
+
+def _flag(cls, key: str):
+    """``(argparse dest, field, type)`` of dotted ``key`` of ``cls``."""
+    from repro.config_io import check_key
+
+    f, tp = check_key(cls, key, leaf=True)
+    return f.metadata.get("flag", f.name), f, tp
+
+
+def _add_flags(parser: argparse.ArgumentParser, cls, keys) -> None:
+    """One flag per field of ``cls`` in ``keys``, named after the field (or
+    its ``flag`` metadata) with its default, ``choices`` and ``help``."""
+    for key in keys:
+        dest, f, tp = _flag(cls, key)
+        kwargs = ({"action": "store_true"} if tp is bool else
+                  {"type": tp if tp in (int, float) else str,
+                   # an enum default by name (the codec reads any case)
+                   "default": getattr(f.default, "name", f.default),
+                   "choices": f.metadata.get("choices")})
+        parser.add_argument("--" + dest.replace("_", "-"),
+                            help=f.metadata.get("help"), **kwargs)
+
+
+def _flag_data(args: argparse.Namespace, cls, keys) -> dict:
+    """The flag values of ``keys`` as the dict form of a ``cls``."""
+    data: dict = {}
+    for key in keys:
+        section, _, name = key.rpartition(".")
+        node = data.setdefault(section, {}) if section else data
+        node[name] = getattr(args, _flag(cls, key)[0])
+    return data
+
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.fabric.topology import Topology
+    from repro.scenarios import Scenario
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="WRT-Ring (Donatiello & Furini 2003) reproduction toolkit")
@@ -47,27 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a WRT-Ring scenario")
     sim.add_argument("--config", type=str, default=None,
                      help="JSON scenario file (overrides the other flags)")
-    sim.add_argument("--n", type=int, default=8)
-    sim.add_argument("--l", type=int, default=2)
-    sim.add_argument("--k", type=int, default=1)
-    sim.add_argument("--horizon", type=float, default=10_000.0)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--traffic", choices=["none", "poisson", "cbr", "video",
-                                           "backlog", "onoff", "voice"],
-                     default="poisson")
-    sim.add_argument("--rate", type=float, default=0.05,
-                     help="per-station rate for poisson traffic")
-    sim.add_argument("--period", type=float, default=20.0,
-                     help="period / frame interval for cbr/video")
-    sim.add_argument("--peak-rate", type=float, default=0.05,
-                     help="on-phase rate for onoff/voice traffic")
-    sim.add_argument("--mean-on", type=float, default=350.0,
-                     help="mean talkspurt length (slots) for onoff/voice")
-    sim.add_argument("--mean-off", type=float, default=650.0,
-                     help="mean silence length (slots) for onoff/voice")
-    sim.add_argument("--service", choices=["premium", "assured", "be"],
-                     default="premium")
-    sim.add_argument("--deadline", type=float, default=None)
+    _add_flags(sim, Scenario, _SIMULATE_FIELDS)
+    sim.set_defaults(service="premium")  # TrafficMix defaults to best effort
     sim.add_argument("--calls", type=int, default=0, metavar="N",
                      help="offer N voice calls over the run (QoE session "
                           "layer: admission, per-call MOS; see docs/QOE.md)")
@@ -86,8 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(implies --rap and the broadcast channel)")
     sim.add_argument("--no-call-admission", action="store_true",
                      help="disable call-level CAC (measurement mode)")
-    sim.add_argument("--rap", action="store_true",
-                     help="enable the Random Access Period")
     sim.add_argument("--wander", type=float, default=0.0,
                      help="mobility wander radius (0 = static)")
     sim.add_argument("--kill", type=str, default="",
@@ -106,12 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="deterministic noise window killing every frame "
                           "in [START, END) (optionally only on CODE); "
                           "repeatable")
-    sim.add_argument("--check-invariants", action="store_true")
-    sim.add_argument("--adaptive-timers", action="store_true",
-                     help="arm SAT_TIMERs from an RFC 6298 SRTT/RTTVAR "
-                          "estimator over observed rotations (ceilinged at "
-                          "the Theorem-1 bound) instead of the fixed "
-                          "worst case; see docs/RESILIENCE.md")
     sim.add_argument("--timeline", type=str, default=None, metavar="OUT.json",
                      help="export a Chrome-trace/Perfetto timeline of the "
                           "run (SAT holds, RAP windows, slot occupancy, "
@@ -127,36 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     fab.add_argument("--config", type=str, default=None,
                      help="JSON topology file (overrides the other flags; "
                           "see examples/conference_building.json)")
-    fab.add_argument("--rings", type=int, default=4)
-    fab.add_argument("--ring-size", type=int, default=8,
-                     help="stations per ring (gateways included)")
-    fab.add_argument("--layout", choices=["chain", "cycle", "star"],
-                     default="chain")
-    fab.add_argument("--placement", choices=["spread", "first"],
-                     default="spread",
-                     help="where gateway stations sit on each ring")
-    fab.add_argument("--flows", type=int, default=4,
-                     help="number of generated cross-ring flows")
-    fab.add_argument("--flow-kind", choices=["cbr", "poisson"], default="cbr")
-    fab.add_argument("--flow-rate", type=float, default=0.02,
-                     help="per-flow rate for poisson cross traffic")
-    fab.add_argument("--flow-period", type=float, default=50.0,
-                     help="inter-frame period for cbr cross traffic")
-    fab.add_argument("--flow-service", choices=["premium", "assured", "be"],
-                     default="premium")
-    fab.add_argument("--deadline", type=float, default=None,
-                     help="relative end-to-end deadline per cross-ring frame")
-    fab.add_argument("--min-hops", type=int, default=1,
-                     help="minimum gateway hops per generated flow")
-    fab.add_argument("--gateway-buffer", type=int, default=64,
-                     help="per-direction gateway buffer (frames)")
-    fab.add_argument("--ttl", type=float, default=None,
-                     help="max slots a frame may wait in a gateway buffer")
-    fab.add_argument("--sync-window", type=float, default=None,
-                     help="override the conservative sync window "
-                          "(default: min SAT rotation bound across rings)")
-    fab.add_argument("--horizon", type=float, default=2_000.0)
-    fab.add_argument("--seed", type=int, default=0)
+    _add_flags(fab, Topology, _FABRIC_FIELDS)
     fab.add_argument("--mode", choices=["serial", "sharded"],
                      default="serial")
     fab.add_argument("--parity", action="store_true",
@@ -186,19 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
                          "dotted fields like traffic.rate allowed)")
     sw.add_argument("--mode", choices=["grid", "zip"], default="grid",
                     help="combine axes as cartesian product or in lockstep")
-    sw.add_argument("--n", type=int, default=8)
-    sw.add_argument("--l", type=int, default=2)
-    sw.add_argument("--k", type=int, default=1)
-    sw.add_argument("--horizon", type=float, default=10_000.0)
+    _add_flags(sw, Scenario, _SWEEP_FIELDS)
     sw.add_argument("--seed", type=int, default=0,
                     help="campaign master seed (per-point seeds derive "
                          "from it)")
-    sw.add_argument("--traffic", choices=["none", "poisson", "cbr", "video",
-                                          "backlog", "saturate", "onoff",
-                                          "voice"],
-                    default="poisson")
-    sw.add_argument("--rate", type=float, default=0.05)
-    sw.add_argument("--period", type=float, default=20.0)
     sw.add_argument("--store", type=str, default=None,
                     help="result-store directory "
                          "(default .campaign/<sweep name>)")
@@ -308,37 +296,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------------
-def _parse_impairments(args: argparse.Namespace):
-    """Build an ImpairmentSpec from the simulate flags (None when clean)."""
+def _parse_impairments(args: argparse.Namespace) -> Optional[dict]:
+    """The impairments section of the simulate flags (None when clean)."""
     if args.loss_prob <= 0.0 and args.ge is None and not args.noise_burst:
         return None
-    from repro.phy.impairments import ImpairmentSpec, NoiseBurst
-
-    kwargs: dict = {"loss_prob": args.loss_prob}
+    out: dict = {"loss_prob": args.loss_prob}
     if args.ge is not None:
         parts = args.ge.split(":")
         if len(parts) not in (2, 3):
             raise SystemExit(f"bad --ge entry {args.ge!r}; "
                              f"expected P_GB:P_BG[:LOSS_BAD]")
-        kwargs["ge_p_gb"] = float(parts[0])
-        kwargs["ge_p_bg"] = float(parts[1])
+        out["ge_p_gb"] = float(parts[0])
+        out["ge_p_bg"] = float(parts[1])
         if len(parts) == 3:
-            kwargs["ge_loss_bad"] = float(parts[2])
+            out["ge_loss_bad"] = float(parts[2])
     bursts = []
     for entry in args.noise_burst:
         parts = entry.split(":")
         if len(parts) not in (2, 3):
             raise SystemExit(f"bad --noise-burst entry {entry!r}; "
                              f"expected START:END[:CODE]")
-        bursts.append(NoiseBurst(
-            start=float(parts[0]), end=float(parts[1]),
-            code=int(parts[2]) if len(parts) == 3 else None))
+        bursts.append({"start": float(parts[0]), "end": float(parts[1]),
+                       "code": int(parts[2]) if len(parts) == 3 else None})
     if bursts:
-        kwargs["bursts"] = tuple(bursts)
-    try:
-        return ImpairmentSpec(**kwargs)
-    except ValueError as exc:
-        raise SystemExit(f"bad impairment flags: {exc}")
+        out["bursts"] = bursts
+    return out
 
 
 def _parse_station_times(text: str) -> List[tuple]:
@@ -402,73 +384,57 @@ def _run_observed(scenario, timeline: Optional[str],
     return payload
 
 
+def _simulate_dict(args: argparse.Namespace) -> dict:
+    """The scenario dict the simulate flags describe."""
+    from repro.scenarios import Scenario
+
+    data = _flag_data(args, Scenario, _SIMULATE_FIELDS)
+    data["rap_enabled"] = args.rap or args.calls_via_rap
+    data["use_channel"] = args.calls_via_rap
+    if args.calls > 0:
+        data["calls"] = {"count": args.calls, "arrival_rate": args.call_rate,
+                         "mean_holding": args.call_holding,
+                         "deadline": args.call_deadline,
+                         "mos_floor": args.call_mos_floor,
+                         "video_fraction": args.call_video_fraction,
+                         "admission": not args.no_call_admission,
+                         "join_via_rap": args.calls_via_rap}
+    if args.wander > 0:
+        data["mobility"] = {"wander_radius": args.wander}
+    data["faults"] = [{"time": when, "kind": kind, "station": station}
+                      for kind, text in (("kill", args.kill),
+                                         ("leave", args.leave))
+                      for station, when in _parse_station_times(text)]
+    data["impairments"] = _parse_impairments(args)
+    return data
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.core.packet import ServiceClass
-    from repro.faults import FaultSchedule
-    from repro.scenarios import MobilitySpec, Scenario, TrafficMix
+    from repro.config_io import from_dict, load_scenario
+    from repro.scenarios import Scenario
 
     if args.config is not None:
-        from dataclasses import replace
-
-        from repro.config_io import load_scenario
         try:
             scenario = load_scenario(args.config)
         except ValueError as exc:
             raise SystemExit(f"bad config: {exc}")
-        if args.adaptive_timers and not scenario.adaptive_timers:
-            scenario = replace(scenario, adaptive_timers=True)
-        payload = _run_observed(scenario, args.timeline, args.metrics)
-        _emit(payload, args.json)
-        return 0
-
-    service = {"premium": ServiceClass.PREMIUM,
-               "assured": ServiceClass.ASSURED,
-               "be": ServiceClass.BEST_EFFORT}[args.service]
-    if service is ServiceClass.BEST_EFFORT and args.deadline is not None:
-        raise SystemExit("best-effort traffic cannot carry deadlines")
-
-    builder = FaultSchedule.builder()
-    for station, when in _parse_station_times(args.kill):
-        builder.kill(station, at=when)
-    for station, when in _parse_station_times(args.leave):
-        builder.leave(station, at=when)
-    schedule = builder.build()
-
-    calls = None
-    if args.calls > 0:
-        from repro.qoe.sessions import CallsSpec
-        calls = CallsSpec(count=args.calls, arrival_rate=args.call_rate,
-                          mean_holding=args.call_holding,
-                          deadline=args.call_deadline,
-                          mos_floor=args.call_mos_floor,
-                          video_fraction=args.call_video_fraction,
-                          admission=not args.no_call_admission,
-                          join_via_rap=args.calls_via_rap)
-
-    scenario = Scenario(
-        n=args.n, l=args.l, k=args.k,
-        rap_enabled=args.rap or args.calls_via_rap,
-        use_channel=args.calls_via_rap,
-        traffic=TrafficMix(kind=args.traffic, rate=args.rate,
-                           period=args.period, service=service,
-                           deadline=args.deadline,
-                           peak_rate=args.peak_rate, mean_on=args.mean_on,
-                           mean_off=args.mean_off),
-        calls=calls,
-        mobility=(MobilitySpec(wander_radius=args.wander)
-                  if args.wander > 0 else None),
-        faults=schedule if schedule.events else None,
-        impairments=_parse_impairments(args),
-        check_invariants=args.check_invariants,
-        adaptive_timers=args.adaptive_timers,
-        horizon=args.horizon, seed=args.seed)
+        from dataclasses import replace
+        scenario = replace(scenario, **{key: True for key in _CONFIG_FLAGS
+                                        if getattr(args, key)})
+    else:
+        if args.service == "be" and args.deadline is not None:
+            raise SystemExit("best-effort traffic cannot carry deadlines")
+        try:
+            scenario = from_dict(Scenario, _simulate_dict(args))
+        except ValueError as exc:
+            raise SystemExit(f"bad flags: {exc}")
     payload = _run_observed(scenario, args.timeline, args.metrics)
     _emit(payload, args.json)
     return 0
 
 
 def _cmd_fabric(args: argparse.Namespace) -> int:
-    from repro.core.packet import ServiceClass
+    from repro.config_io import from_dict
     from repro.fabric import (FabricRunner, Topology, export_merged_timeline,
                               load_topology, merged_trace_lines,
                               save_topology)
@@ -476,20 +442,9 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
     if args.config is not None:
         topo = load_topology(args.config)
     else:
-        service = {"premium": ServiceClass.PREMIUM,
-                   "assured": ServiceClass.ASSURED,
-                   "be": ServiceClass.BEST_EFFORT}[args.flow_service]
         try:
-            topo = Topology(
-                rings=args.rings, ring_size=args.ring_size,
-                layout=args.layout, gateway_placement=args.placement,
-                cross_flows=args.flows, flow_kind=args.flow_kind,
-                flow_rate=args.flow_rate, flow_period=args.flow_period,
-                flow_service=service, flow_deadline=args.deadline,
-                min_ring_hops=args.min_hops,
-                gateway_buffer=args.gateway_buffer, frame_ttl=args.ttl,
-                sync_window=args.sync_window,
-                horizon=args.horizon, seed=args.seed)
+            topo = from_dict(Topology,
+                             _flag_data(args, Topology, _FABRIC_FIELDS))
         except ValueError as exc:
             raise SystemExit(f"bad topology: {exc}")
     if args.save is not None:
@@ -571,20 +526,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.campaign import (CampaignRunner, ProgressPrinter, ResultStore,
                                 Sweep, campaign_table, default_columns,
                                 sweep_from_dict)
-    from repro.scenarios import Scenario, TrafficMix
+    from repro.config_io import from_dict
+    from repro.scenarios import Scenario
 
-    if args.config is not None:
-        from pathlib import Path
-        sweep = sweep_from_dict(json.loads(Path(args.config).read_text()))
-    else:
-        axes = _parse_axes(args.axis)
-        if not axes:
-            raise SystemExit("give at least one --axis (or --config)")
-        base = Scenario(n=args.n, l=args.l, k=args.k, horizon=args.horizon,
-                        seed=args.seed,
-                        traffic=TrafficMix(kind=args.traffic, rate=args.rate,
-                                           period=args.period))
-        sweep = Sweep(base=base, axes=axes, mode=args.mode, seed=args.seed)
+    try:
+        if args.config is not None:
+            sweep = sweep_from_dict(json.loads(Path(args.config).read_text()))
+        else:
+            axes = _parse_axes(args.axis)
+            if not axes:
+                raise SystemExit("give at least one --axis (or --config)")
+            data = _flag_data(args, Scenario, _SWEEP_FIELDS)
+            base = from_dict(Scenario, {**data, "seed": args.seed})
+            sweep = Sweep(base=base, axes=axes, mode=args.mode,
+                          seed=args.seed)
+        sweep.expand()      # checks every axis key before any point runs
+    except ValueError as exc:
+        raise SystemExit(f"bad sweep: {exc}")
 
     name = sweep.name or "sweep-" + hashlib.sha256(
         sweep.spec_hash_material().encode()).hexdigest()[:8]

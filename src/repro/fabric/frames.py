@@ -12,13 +12,11 @@ trace and table) is byte-identical regardless of shard scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.packet import ServiceClass
 
 __all__ = ["FabricFrame"]
-
-_SERVICE_NAMES = {c.name.lower(): c for c in ServiceClass}
 
 
 @dataclass
@@ -52,25 +50,3 @@ class FabricFrame:
     @property
     def final_hop(self) -> bool:
         return self.hop == len(self.route) - 1
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "flow": self.flow, "seq": self.seq,
-            "src_ring": self.src_ring, "src_station": self.src_station,
-            "dst_ring": self.dst_ring, "dst_station": self.dst_station,
-            "service": self.service.name.lower(),
-            "created": self.created, "deadline": self.deadline,
-            "route": list(self.route), "hop": self.hop,
-            "hop_log": [list(leg) for leg in self.hop_log],
-        }
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "FabricFrame":
-        return FabricFrame(
-            flow=data["flow"], seq=data["seq"],
-            src_ring=data["src_ring"], src_station=data["src_station"],
-            dst_ring=data["dst_ring"], dst_station=data["dst_station"],
-            service=_SERVICE_NAMES[data["service"]],
-            created=data["created"], deadline=data["deadline"],
-            route=tuple(data["route"]), hop=data["hop"],
-            hop_log=[list(leg) for leg in data["hop_log"]])

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.config_io import from_dict, to_dict
 from repro.core.packet import Packet
 from repro.events.bus import NULL_EMITTER
 from repro.events.types import (GatewayBuffer, GatewayDrop, GatewayForward,
@@ -268,7 +269,7 @@ class RingShard:
                                                frame.service))
                     continue
                 frame.hop += 1
-                out.append(frame.to_dict())
+                out.append(to_dict(frame))
             buf.clear()
         return out
 
@@ -276,7 +277,7 @@ class RingShard:
         """Accept frames crossing into this ring at barrier time ``t``
         (already in global canonical order)."""
         for data in frames:
-            frame = FabricFrame.from_dict(data)
+            frame = from_dict(FabricFrame, data, "frame")
             link = self.topo.link_between(frame.route[frame.hop - 1],
                                           frame.route[frame.hop])
             self._forward_local(frame, t, link.endpoint(self.ring))

@@ -26,14 +26,16 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.packet import ServiceClass
-from repro.scenarios import Scenario, TrafficMix
+from repro.scenarios import Scenario, TrafficMix, schema_field
 from repro.sim.rng import RandomStreams
 
-__all__ = ["GatewayLink", "CrossFlow", "Topology",
+__all__ = ["GatewayLink", "CrossFlow", "Topology", "check_topology_key",
            "topology_to_dict", "topology_from_dict",
            "load_topology", "save_topology"]
 
-_SERVICE_NAMES = {c.name.lower(): c for c in ServiceClass}
+LAYOUTS = ("chain", "cycle", "star")
+GATEWAY_PLACEMENTS = ("spread", "first")
+FLOW_KINDS = ("cbr", "poisson")
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ class CrossFlow:
     deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("cbr", "poisson"):
+        if self.kind not in FLOW_KINDS:
             raise ValueError(f"unknown flow kind {self.kind!r}")
         if self.src_ring == self.dst_ring:
             raise ValueError("cross-ring flows must join distinct rings "
@@ -106,31 +108,42 @@ class Topology:
     """A fabric of gateway-bridged WRT-Rings."""
 
     rings: int = 4
-    ring_size: int = 8
-    layout: str = "chain"              # "chain" | "cycle" | "star"
-    gateway_placement: str = "spread"  # "first" | "spread"
+    ring_size: int = schema_field(8, help="stations per ring (gateways "
+                                  "included)")
+    layout: str = schema_field("chain", choices=LAYOUTS)
+    gateway_placement: str = schema_field(
+        "spread", flag="placement", choices=GATEWAY_PLACEMENTS,
+        help="where gateway stations sit on each ring")
+    cross_flows: int = schema_field(
+        4, flag="flows", help="number of generated cross-ring flows")
+    flow_kind: str = schema_field("cbr", choices=FLOW_KINDS)
+    flow_rate: float = schema_field(
+        0.02, help="per-flow rate for poisson cross traffic")
+    flow_period: float = schema_field(
+        50.0, help="inter-frame period for cbr cross traffic")
+    flow_service: ServiceClass = schema_field(
+        ServiceClass.PREMIUM, choices=("premium", "assured", "be"))
+    flow_deadline: Optional[float] = schema_field(
+        None, flag="deadline",
+        help="relative end-to-end deadline per cross-ring frame")
+    min_ring_hops: int = schema_field(
+        1, flag="min_hops", help="minimum gateway hops per generated flow")
+    gateway_buffer: int = schema_field(
+        64, help="per-direction gateway buffer (frames)")
+    frame_ttl: Optional[float] = schema_field(
+        None, flag="ttl",
+        help="max slots a frame may wait in a gateway buffer")
+    sync_window: Optional[float] = schema_field(
+        None, help="override the conservative sync window "
+                   "(default: min SAT rotation bound across rings)")
     #: explicit bridge list; None derives one from ``layout``
-    links: Optional[List[GatewayLink]] = None
+    links: Optional[List[GatewayLink]] = schema_field(None, sparse=True,
+                                                      row=True)
+    #: explicit cross-ring flows; None generates ``cross_flows`` random ones
+    flows: Optional[List[CrossFlow]] = schema_field(None, sparse=True)
     #: per-ring scenario template (its ``n`` and ``seed`` are overridden)
     base: Scenario = field(default_factory=lambda: Scenario(
         traffic=TrafficMix(kind="none")))
-    #: explicit cross-ring flows; None generates ``cross_flows`` random ones
-    flows: Optional[List[CrossFlow]] = None
-    cross_flows: int = 4
-    flow_kind: str = "cbr"
-    flow_rate: float = 0.02
-    flow_period: float = 50.0
-    flow_service: ServiceClass = ServiceClass.PREMIUM
-    #: relative per-frame deadline in slots (None = best effort)
-    flow_deadline: Optional[float] = None
-    #: generated flows span at least this many gateway hops
-    min_ring_hops: int = 1
-    #: bound on each gateway's cross-ring out-buffer (frames per link)
-    gateway_buffer: int = 64
-    #: max slots a frame may wait in a gateway buffer before it is aged out
-    frame_ttl: Optional[float] = None
-    #: barrier spacing in slots; None = conservative SAT-rotation lookahead
-    sync_window: Optional[float] = None
     horizon: float = 2_000.0
     seed: int = 0
 
@@ -139,12 +152,12 @@ class Topology:
             raise ValueError(f"a fabric needs >= 2 rings, got {self.rings}")
         if self.ring_size < 2:
             raise ValueError(f"ring_size must be >= 2, got {self.ring_size}")
-        if self.layout not in ("chain", "cycle", "star"):
+        if self.layout not in LAYOUTS:
             raise ValueError(f"unknown layout {self.layout!r}")
-        if self.gateway_placement not in ("first", "spread"):
+        if self.gateway_placement not in GATEWAY_PLACEMENTS:
             raise ValueError(
                 f"unknown gateway_placement {self.gateway_placement!r}")
-        if self.flow_kind not in ("cbr", "poisson"):
+        if self.flow_kind not in FLOW_KINDS:
             raise ValueError(f"unknown flow_kind {self.flow_kind!r}")
         if self.gateway_buffer < 1:
             raise ValueError(
@@ -269,83 +282,47 @@ class Topology:
 # ----------------------------------------------------------------------
 # serialization (the ``config_io`` shape + one "topology" sub-dict)
 # ----------------------------------------------------------------------
+#: Topology fields kept at the top level of the dict form, not in its
+#: ``topology`` sub-dict
+FABRIC_OWNED = ("base", "horizon", "seed")
+
+
 def topology_to_dict(topo: Topology) -> Dict[str, Any]:
     """JSON description: base-scenario fields at top level + ``topology``."""
-    from repro.config_io import scenario_to_dict
+    from repro.config_io import to_dict
 
-    out = scenario_to_dict(topo.base)
+    sub = to_dict(topo)
+    out = sub.pop("base")
     # the fabric owns the horizon and master seed
-    out["horizon"] = topo.horizon
-    out["seed"] = topo.seed
-    sub: Dict[str, Any] = {
-        "rings": topo.rings,
-        "ring_size": topo.ring_size,
-        "layout": topo.layout,
-        "gateway_placement": topo.gateway_placement,
-        "cross_flows": topo.cross_flows,
-        "flow_kind": topo.flow_kind,
-        "flow_rate": topo.flow_rate,
-        "flow_period": topo.flow_period,
-        "flow_service": topo.flow_service.name.lower(),
-        "flow_deadline": topo.flow_deadline,
-        "min_ring_hops": topo.min_ring_hops,
-        "gateway_buffer": topo.gateway_buffer,
-        "frame_ttl": topo.frame_ttl,
-        "sync_window": topo.sync_window,
-    }
-    if topo.links is not None:
-        sub["links"] = [[l.ring_a, l.station_a, l.ring_b, l.station_b]
-                        for l in topo.links]
-    if topo.flows is not None:
-        sub["flows"] = [{
-            "src_ring": f.src_ring, "src_station": f.src_station,
-            "dst_ring": f.dst_ring, "dst_station": f.dst_station,
-            "kind": f.kind, "rate": f.rate, "period": f.period,
-            "service": f.service.name.lower(), "deadline": f.deadline,
-        } for f in topo.flows]
+    out["horizon"] = sub.pop("horizon")
+    out["seed"] = sub.pop("seed")
     out["topology"] = sub
     return out
 
 
-_TOPOLOGY_KEYS = {"rings", "ring_size", "layout", "gateway_placement",
-                  "links", "flows", "cross_flows", "flow_kind", "flow_rate",
-                  "flow_period", "flow_service", "flow_deadline",
-                  "min_ring_hops", "gateway_buffer", "frame_ttl",
-                  "sync_window"}
+def check_topology_key(key: str) -> None:
+    """Raise ValueError unless dotted ``key`` addresses the dict form:
+    base-scenario keys at the top, fabric keys under ``topology.``."""
+    from repro.config_io import check_key, check_scenario_key
+
+    head, _, rest = key.partition(".")
+    if head != "topology" or rest.split(".")[0] in FABRIC_OWNED:
+        return check_scenario_key(key)
+    check_key(Topology, rest)
 
 
 def topology_from_dict(data: Dict[str, Any]) -> Topology:
     """Build a Topology from the dict shape :func:`topology_to_dict` emits."""
-    from repro.config_io import scenario_from_dict
+    from repro.config_io import from_dict, scenario_from_dict
 
     data = dict(data)
-    sub = dict(data.pop("topology", None) or {})
-    unknown = set(sub) - _TOPOLOGY_KEYS
-    if unknown:
-        raise ValueError(f"unknown topology keys: {sorted(unknown)}")
+    sub = data.pop("topology", None) or {}
+    if isinstance(sub, dict) and sub.keys() & set(FABRIC_OWNED):
+        raise ValueError(f"unknown topology keys: "
+                         f"{sorted(sub.keys() & set(FABRIC_OWNED))}")
     base = scenario_from_dict(data)
-    kwargs: Dict[str, Any] = {"base": base,
-                              "horizon": base.horizon, "seed": base.seed}
-    for key in ("rings", "ring_size", "layout", "gateway_placement",
-                "cross_flows", "flow_kind", "flow_rate", "flow_period",
-                "flow_deadline", "min_ring_hops", "gateway_buffer",
-                "frame_ttl", "sync_window"):
-        if key in sub:
-            kwargs[key] = sub[key]
-    if "flow_service" in sub:
-        kwargs["flow_service"] = _SERVICE_NAMES[sub["flow_service"].lower()]
-    if sub.get("links") is not None:
-        kwargs["links"] = [GatewayLink(a, sa, b, sb)
-                           for a, sa, b, sb in sub["links"]]
-    if sub.get("flows") is not None:
-        flows = []
-        for entry in sub["flows"]:
-            entry = dict(entry)
-            if "service" in entry:
-                entry["service"] = _SERVICE_NAMES[entry["service"].lower()]
-            flows.append(CrossFlow(**entry))
-        kwargs["flows"] = flows
-    return Topology(**kwargs)
+    return replace(from_dict(Topology, sub, "topology"), base=base,
+                   horizon=base.horizon, seed=base.seed)
 
 
 def save_topology(topo: Topology, path) -> None:

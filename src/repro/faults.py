@@ -43,7 +43,7 @@ class FaultEvent:
     time: float
     kind: str
     station: Optional[int] = None
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict, metadata={"sparse": True})
 
     def __post_init__(self) -> None:
         if self.time < 0:

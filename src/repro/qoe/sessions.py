@@ -35,7 +35,7 @@ scenario replays the same byte-identical event stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.bounds import access_delay_bound, sat_rotation_bound
@@ -58,23 +58,28 @@ _SERVICES = {"premium": ServiceClass.PREMIUM,
 RAP_CALLER_BASE = 500
 
 
+def _sparse(default: Any) -> Any:
+    """A field the dict form emits only when it differs from ``default``."""
+    return field(default=default, metadata={"sparse": True})
+
+
 @dataclass(frozen=True)
 class CallsSpec:
     """Declarative description of a call-arrival workload."""
 
     count: int = 10                 # calls offered over the run
-    arrival_rate: float = 0.005     # calls/slot (Poisson)
-    mean_holding: float = 2000.0    # exponential holding time, slots
-    packet_period: float = 20.0     # slots between packets at peak (G.711)
-    mean_talkspurt: float = 350.0   # mean ON duration, slots
-    mean_silence: float = 650.0     # mean OFF duration, slots
-    deadline: float = 150.0         # per-packet delivery deadline, slots
-    service: str = "premium"
-    mos_floor: float = DEFAULT_MOS_FLOOR
-    slot_ms: float = 1.0            # slot -> ms for the E-model delay term
-    video_fraction: float = 0.0     # fraction of sessions that are video
-    admission: bool = True          # run call-level CAC
-    join_via_rap: bool = False      # callers join the ring through RAP
+    arrival_rate: float = _sparse(0.005)    # calls/slot (Poisson)
+    mean_holding: float = _sparse(2000.0)   # exponential holding time, slots
+    packet_period: float = _sparse(20.0)    # slots between packets at peak (G.711)
+    mean_talkspurt: float = _sparse(350.0)  # mean ON duration, slots
+    mean_silence: float = _sparse(650.0)    # mean OFF duration, slots
+    deadline: float = _sparse(150.0)        # per-packet delivery deadline, slots
+    service: str = _sparse("premium")
+    mos_floor: float = _sparse(DEFAULT_MOS_FLOOR)
+    slot_ms: float = _sparse(1.0)           # slot -> ms for the E-model delay term
+    video_fraction: float = _sparse(0.0)    # fraction of sessions that are video
+    admission: bool = _sparse(True)         # run call-level CAC
+    join_via_rap: bool = _sparse(False)     # callers join the ring through RAP
 
     def __post_init__(self) -> None:
         if self.count < 1:
@@ -108,27 +113,6 @@ class CallsSpec:
     @property
     def service_class(self) -> ServiceClass:
         return _SERVICES[self.service]
-
-    # -- (de)serialization: non-default keys only, so configs stay tidy --
-    def to_dict(self) -> Dict[str, Any]:
-        defaults = CallsSpec()
-        out: Dict[str, Any] = {"count": self.count}
-        for key in ("arrival_rate", "mean_holding", "packet_period",
-                    "mean_talkspurt", "mean_silence", "deadline", "service",
-                    "mos_floor", "slot_ms", "video_fraction", "admission",
-                    "join_via_rap"):
-            value = getattr(self, key)
-            if value != getattr(defaults, key):
-                out[key] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CallsSpec":
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown calls keys: {sorted(unknown)}")
-        return cls(**data)
 
 
 # ----------------------------------------------------------------------

@@ -43,8 +43,20 @@ from repro.sim.trace import TraceRecorder
 from repro.traffic.flows import FlowSpec
 from repro.traffic.workload import Workload
 
-__all__ = ["TrafficMix", "MobilitySpec", "Scenario", "ScenarioResult",
-           "build_scenario", "run_scenario"]
+__all__ = ["TRAFFIC_KINDS", "TrafficMix", "MobilitySpec", "Scenario",
+           "ScenarioResult", "build_scenario", "run_scenario",
+           "schema_field"]
+
+
+#: the traffic kinds :class:`TrafficMix` accepts (also the CLI choices)
+TRAFFIC_KINDS = ("none", "poisson", "cbr", "video", "backlog", "saturate",
+                 "onoff", "voice", "prefill")
+_ONOFF = ("onoff", "voice")     # the kinds shaped by talkspurts
+
+
+def schema_field(default, **metadata):
+    """A field with schema and flag metadata (see :mod:`repro.config_io`)."""
+    return field(default=default, metadata=metadata)
 
 
 @dataclass(frozen=True)
@@ -64,26 +76,34 @@ class TrafficMix:
     per-tick generator), or ``"none"``.
     """
 
-    kind: str = "poisson"
-    rate: float = 0.05
-    period: float = 20.0
-    service: ServiceClass = ServiceClass.BEST_EFFORT
+    kind: str = schema_field("poisson", flag="traffic", choices=TRAFFIC_KINDS)
+    rate: float = schema_field(
+        0.05, help="per-station rate for poisson traffic")
+    period: float = schema_field(
+        20.0, help="period / frame interval for cbr/video")
+    service: ServiceClass = schema_field(
+        ServiceClass.BEST_EFFORT, choices=("premium", "assured", "be"))
     deadline: Optional[float] = None
     neighbours_only: bool = False
     #: on/off talkspurt shape (kinds "onoff" and "voice"); the defaults are
     #: the G.711 voice model in slots (see docs/QOE.md)
-    peak_rate: float = 0.05
-    mean_on: float = 350.0
-    mean_off: float = 650.0
+    peak_rate: float = schema_field(
+        0.05, kinds=_ONOFF, help="on-phase rate for onoff/voice traffic")
+    mean_on: float = schema_field(
+        350.0, kinds=_ONOFF,
+        help="mean talkspurt length (slots) for onoff/voice")
+    mean_off: float = schema_field(
+        650.0, kinds=_ONOFF,
+        help="mean silence length (slots) for onoff/voice")
     #: slot-0 burst depth per flow (kind "prefill" only)
-    burst: int = 0
+    burst: int = schema_field(
+        0, kinds=("prefill",),
+        help="slot-0 burst depth per flow for prefill traffic")
 
     def __post_init__(self) -> None:
-        if self.kind not in ("cbr", "poisson", "video", "backlog",
-                             "saturate", "onoff", "voice", "prefill",
-                             "none"):
+        if self.kind not in TRAFFIC_KINDS:
             raise ValueError(f"unknown traffic kind {self.kind!r}")
-        if self.kind in ("onoff", "voice"):
+        if self.kind in _ONOFF:
             if self.peak_rate <= 0:
                 raise ValueError(f"peak_rate must be positive, "
                                  f"got {self.peak_rate!r}")
@@ -104,7 +124,10 @@ class MobilitySpec:
 
 @dataclass
 class Scenario:
-    """A complete experiment description."""
+    """A complete experiment description.
+
+    Field order is the key order of the dict form (:mod:`repro.config_io`).
+    """
 
     n: int = 8
     placement: str = "circle"          # "circle" | "uniform"
@@ -116,28 +139,33 @@ class Scenario:
     arena: Arena = field(default_factory=lambda: Arena(100.0, 100.0))
     l: int = 2
     k: int = 1
-    quotas: Optional[Dict[int, QuotaConfig]] = None
-    rap_enabled: bool = False
+    rap_enabled: bool = schema_field(
+        False, flag="rap", help="enable the Random Access Period")
     t_ear: int = 6
     t_update: int = 3
     use_channel: bool = False
     validate_phy: bool = False
-    traffic: TrafficMix = field(default_factory=TrafficMix)
-    #: voice/multimedia call workload (see repro.qoe.sessions.CallsSpec);
-    #: None = no session layer
-    calls: Optional["CallsSpec"] = None
-    mobility: Optional[MobilitySpec] = None
-    faults: Optional[FaultSchedule] = None
-    #: stochastic frame loss (None or an all-defaults spec = clean channel)
-    impairments: Optional[ImpairmentSpec] = None
     check_invariants: bool = False
     horizon: float = 10_000.0
     seed: int = 0
+    traffic: TrafficMix = field(default_factory=TrafficMix)
     #: opt-in RFC 6298 SAT timers (repro.core.adaptive): per-station
     #: SRTT/RTTVAR estimation over observed rotations with a Theorem-1
     #: ceiling, plus exponential join-retry backoff.  Off = the paper's
     #: fixed worst-case timer, byte-identical to every existing trace.
-    adaptive_timers: bool = False
+    adaptive_timers: bool = schema_field(False, sparse=True, help=(
+        "arm SAT_TIMERs from an RFC 6298 SRTT/RTTVAR estimator over observed "
+        "rotations (ceilinged at the Theorem-1 bound) instead of the fixed "
+        "worst case; see docs/RESILIENCE.md"))
+    #: voice/multimedia call workload (see repro.qoe.sessions.CallsSpec);
+    #: None = no session layer
+    calls: Optional[CallsSpec] = schema_field(None, sparse=True)
+    quotas: Optional[Dict[int, QuotaConfig]] = schema_field(
+        None, sparse=True, row=True)
+    mobility: Optional[MobilitySpec] = schema_field(None, sparse=True)
+    faults: Optional[FaultSchedule] = schema_field(None, sparse=True)
+    #: stochastic frame loss (None or an all-defaults spec = clean channel)
+    impairments: Optional[ImpairmentSpec] = schema_field(None, sparse=True)
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -148,6 +176,11 @@ class Scenario:
             raise ValueError(f"horizon must be positive, got {self.horizon!r}")
         if self.range_margin <= 1.0 and self.placement == "circle":
             raise ValueError("range_margin must exceed 1 for a feasible circle ring")
+
+
+#: the scenario keys a run summary echoes, in order
+ECHO_KEYS = ("n", "l", "k", "seed", "horizon", "traffic", "calls",
+             "adaptive_timers")
 
 
 @dataclass
@@ -164,38 +197,13 @@ class ScenarioResult:
     sessions: Optional[SessionManager] = None
 
     def resolved_config(self) -> Dict[str, object]:
-        """The resolved run configuration, echoed in every summary so a run
-        is reproducible from its output alone (CLI ``--json`` and campaign
-        result records share this shape)."""
-        scn = self.scenario
-        mix = scn.traffic
-        out = {
-            "n": scn.n,
-            "l": scn.l,
-            "k": scn.k,
-            "seed": scn.seed,
-            "horizon": scn.horizon,
-            "traffic": {
-                "kind": mix.kind,
-                "rate": mix.rate,
-                "period": mix.period,
-                "service": mix.service.name.lower(),
-                "deadline": mix.deadline,
-                "neighbours_only": mix.neighbours_only,
-            },
-        }
-        if mix.kind in ("onoff", "voice"):
-            out["traffic"].update(peak_rate=mix.peak_rate,
-                                  mean_on=mix.mean_on, mean_off=mix.mean_off)
-        if mix.kind == "prefill":
-            out["traffic"]["burst"] = mix.burst
-        if scn.calls is not None:
-            out["calls"] = scn.calls.to_dict()
-        if scn.adaptive_timers:
-            # emitted only when on, so every existing summary/campaign
-            # record keeps its exact historical shape
-            out["adaptive_timers"] = True
-        return out
+        """The resolved run configuration (:data:`ECHO_KEYS` of the dict
+        form), echoed in every summary so a run is reproducible from its
+        output alone (CLI ``--json`` and campaign records share it)."""
+        from repro.config_io import scenario_to_dict
+
+        data = scenario_to_dict(self.scenario)
+        return {key: data[key] for key in ECHO_KEYS if key in data}
 
     def summary(self) -> Dict[str, object]:
         net = self.network

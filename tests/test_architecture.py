@@ -4,8 +4,11 @@ The protocol layers (``repro.core``, ``repro.sim``, ``repro.phy``,
 ``repro.baselines``) emit typed events; the observability and fuzzing
 layers (``repro.obs``, ``repro.fuzz``) subscribe.  Nothing in a protocol
 layer may import a subscriber layer — that would reintroduce the inverted
-dependency this refactor removed.  Enforced statically (AST walk over the
-source tree) so a violation fails even if the import is unused or lazy.
+dependency this refactor removed.  Likewise the layers that declare config
+dataclasses (``core``, ``phy``, ``qoe``, ``sim``, ``events``) state their
+dict form as plain field metadata and never import the codec above them,
+``repro.config_io``.  Enforced statically (AST walk over the source tree)
+so a violation fails even if the import is unused or lazy.
 """
 
 import ast
@@ -15,13 +18,14 @@ import pytest
 
 SRC = Path(__file__).parent.parent / "src" / "repro"
 
-#: emitting packages -> packages they must never import
+#: emitting / declaring packages -> packages they must never import
 CONTRACTS = {
-    "core": ("repro.obs", "repro.fuzz"),
-    "sim": ("repro.obs", "repro.fuzz", "repro.core"),
-    "phy": ("repro.obs", "repro.fuzz"),
+    "core": ("repro.obs", "repro.fuzz", "repro.config_io"),
+    "sim": ("repro.obs", "repro.fuzz", "repro.core", "repro.config_io"),
+    "phy": ("repro.obs", "repro.fuzz", "repro.config_io"),
+    "qoe": ("repro.config_io",),
     "baselines": ("repro.obs", "repro.fuzz"),
-    "events": ("repro.obs", "repro.fuzz", "repro.core"),
+    "events": ("repro.obs", "repro.fuzz", "repro.core", "repro.config_io"),
 }
 
 

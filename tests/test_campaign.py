@@ -64,6 +64,21 @@ class TestSweepExpansion:
         with pytest.raises(ValueError, match="duplicate"):
             Sweep(base=BASE, points=[{"n": 5}, {"n": 5}]).expand()
 
+    @pytest.mark.parametrize("key", ["nn", "traffic.rte", "n.x",
+                                     "traffic.kind.x"])
+    def test_unknown_axis_key_rejected_before_any_point(self, key):
+        with pytest.raises(ValueError, match="has no key"):
+            Sweep(base=BASE, axes={"n": [4], key: [1, 2]}).expand()
+
+    def test_keys_below_dict_and_list_fields_stay_free(self):
+        sweep = Sweep(base=BASE, points=[{"quotas.0": [1, 1, 1]},
+                                         {"faults": []}, {"kernel": "scalar"}])
+        assert len(sweep.expand()) == 3
+
+    def test_bad_axis_value_still_expands(self):
+        # value errors fail per point at run time, not up front
+        assert len(Sweep(base=BASE, axes={"n": [1, 4]}).expand()) == 2
+
     def test_axes_and_points_mutually_exclusive(self):
         with pytest.raises(ValueError):
             Sweep(base=BASE, axes={"n": [4]}, points=[{"n": 5}])

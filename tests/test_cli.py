@@ -4,7 +4,14 @@ import json
 
 import pytest
 
+import repro.campaign
+import repro.cli
 from repro.cli import build_parser, main
+from repro.scenarios import TRAFFIC_KINDS
+
+
+class _Built(Exception):
+    """Raised by a patched runner to hand back what the command built."""
 
 
 class TestParser:
@@ -19,6 +26,36 @@ class TestParser:
     def test_bounds_requires_params(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bounds"])
+
+
+class TestTrafficKinds:
+    """Both scenario commands take every kind :class:`TrafficMix` declares."""
+
+    @pytest.mark.parametrize("kind", TRAFFIC_KINDS)
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_every_declared_kind_builds(self, command, kind, monkeypatch,
+                                        tmp_path):
+        def capture(built, *_args, **_kwargs):
+            raise _Built(built)
+
+        monkeypatch.setattr(repro.cli, "_run_observed", capture)
+        monkeypatch.setattr(repro.campaign, "CampaignRunner", capture)
+        argv = [command, "--traffic", kind, "--burst", "3"]
+        if command == "sweep":
+            argv += ["--axis", "n=4", "--store", str(tmp_path), "--quiet"]
+        with pytest.raises(_Built) as built:
+            main(argv)
+        scenario = getattr(built.value.args[0], "base", built.value.args[0])
+        assert scenario.traffic.kind == kind
+
+    @pytest.mark.parametrize("kind", ["saturate", "prefill"])
+    def test_simulate_runs_kinds_it_once_rejected(self, kind, capsys):
+        rc = main(["simulate", "--n", "4", "--horizon", "300",
+                   "--traffic", kind, "--burst", "20", "--json"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["traffic"]["kind"] == kind
+        assert payload["delivered"] > 0
 
 
 class TestBoundsCommand:
@@ -182,6 +219,14 @@ class TestSweepCommand:
     def test_bad_axis_entry_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["sweep", "--axis", "n", "--store", str(tmp_path / "s")])
+
+    def test_unknown_axis_fails_before_any_point(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--axis", "nn=4,8", "--workers", "0",
+                  "--store", str(tmp_path / "store")])
+        message = str(exc.value.code)
+        assert message.startswith("bad sweep: ") and "'nn'" in message
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_failed_point_sets_exit_code(self, tmp_path, capsys):
         rc = main(["sweep", "--axis", "n=1,4", "--horizon", "200",

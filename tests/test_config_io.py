@@ -132,6 +132,16 @@ class TestMalformedConfig:
                      "sped"),
         "short_quota": ({"n": 4, "quotas": {"0": [1, 2]}}, "station 0"),
         "top_level": ({"n": 4, "warp_drive": True}, "warp_drive"),
+        "service_type": ({"traffic": {"service": 3}}, "traffic.service"),
+        "fault_missing_time": ({"faults": [{"kind": "kill"}]}, "time"),
+        "fault_unknown_key": ({"faults": [{"time": 5.0, "kind": "kill",
+                                           "station": 1, "at": 9.0}]}, "at"),
+        "null_arena": ({"arena": None}, "arena"),
+        "null_traffic": ({"traffic": None}, "traffic"),
+        "quota_station_id": ({"quotas": {"x": [1, 1, 1]}}, "quotas key 'x'"),
+        "burst_without_end": ({"impairments": {"bursts": [{"start": 5.0}]}},
+                              "end"),
+        "wrong_scalar_type": ({"n": "eight"}, "scenario"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -151,6 +161,11 @@ class TestMalformedConfig:
         message = str(exc.value.code)
         assert message.startswith("bad config: ")
         assert needle in message
+
+    def test_topology_unknown_flow_service(self):
+        from repro.fabric.topology import topology_from_dict
+        with pytest.raises(ValueError, match="flow_service"):
+            topology_from_dict({"topology": {"flow_service": "platinum"}})
 
 
 class TestLegacyKernelKey:

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.config_io import from_dict, to_dict
 from repro.core.packet import ServiceClass
 from repro.fabric import (CrossFlow, FabricFrame, FabricRunner, GatewayLink,
                           RingShard, Topology, export_merged_timeline,
@@ -137,7 +138,7 @@ class TestFabricFrame:
                             service=ServiceClass.PREMIUM, created=10.0,
                             deadline=110.0, route=(0, 1, 2), hop=1,
                             hop_log=[[0, 10.0, 14.0]])
-        assert FabricFrame.from_dict(frame.to_dict()) == frame
+        assert from_dict(FabricFrame, to_dict(frame)) == frame
 
     def test_key_orders_canonically(self):
         frames = [FabricFrame(flow=f, seq=s, src_ring=0, src_station=0,
@@ -331,6 +332,14 @@ class TestFabricSweep:
         rebuilt = sweep_from_dict(json.loads(json.dumps(sweep_to_dict(sweep))))
         assert [p.key for p in rebuilt.expand()] == \
             [p.key for p in sweep.expand()]
+
+    @pytest.mark.parametrize("key", ["topology.ringz", "topology.horizon",
+                                     "topology.base.n", "ringz"])
+    def test_unknown_fabric_axis_rejected(self, key):
+        from repro.campaign import Sweep
+
+        with pytest.raises(ValueError, match="has no key"):
+            Sweep(topology=small_topology(), axes={key: [2]}).expand()
 
     def test_fabric_point_rejects_scenario_accessor(self):
         from repro.campaign import Sweep
