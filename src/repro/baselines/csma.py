@@ -33,11 +33,11 @@ from typing import Callable, Dict, List, Optional
 
 from repro.analysis.netmetrics import NetworkMetrics
 from repro.core.packet import Packet, ServiceClass
-from repro.events import EventBus, TraceAdapter
+from repro.events import EventBus
 from repro.events.bus import NULL_EMITTER
 from repro.events import types as _ev
 from repro.sim.engine import Engine
-from repro.sim.trace import NullTraceRecorder, TraceRecorder
+from repro.sim.trace import TraceRecorder
 
 __all__ = ["CSMAConfig", "CSMANetwork", "CSMAStation"]
 
@@ -178,7 +178,6 @@ class CSMANetwork:
             raise ValueError("need at least 2 stations")
         self.engine = engine
         self.config = config if config is not None else CSMAConfig()
-        self.trace = trace if trace is not None else NullTraceRecorder()
         self._graph_provider = (graph if callable(graph) or graph is None
                                 else (lambda: graph))
         rng = rng if rng is not None else random.Random(0)
@@ -188,9 +187,8 @@ class CSMANetwork:
             for sid in station_ids}
         self.events = EventBus()
         self.metrics = NetworkMetrics().attach(self.events)
-        self._trace_adapter = None
-        if not isinstance(self.trace, NullTraceRecorder):
-            self._trace_adapter = TraceAdapter(self.trace).attach(self.events)
+        if trace is not None:
+            trace.attach(self.events)
         self.events.add_binder(self._bind_emitters)
         self.collision_slots = 0
         self.busy_slots = 0

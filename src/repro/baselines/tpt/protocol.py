@@ -35,12 +35,12 @@ from repro.core.packet import Packet
 from repro.analysis.netmetrics import NetworkMetrics
 from repro.core.recovery import RecoveryRecord
 from repro.core.sat import RotationLog
-from repro.events import EventBus, TraceAdapter
+from repro.events import EventBus
 from repro.events import types as _ev
 from repro.phy.topology import TopologyError, build_bfs_tree, dfs_token_tour
 from repro.sim.engine import Engine
 from repro.sim.timers import Timer
-from repro.sim.trace import NullTraceRecorder, TraceRecorder
+from repro.sim.trace import TraceRecorder
 
 __all__ = ["TPTConfig", "TPTNetwork"]
 
@@ -95,7 +95,6 @@ class TPTNetwork:
         self.engine = engine
         self.config = config
         self.rules = TimedTokenRules(config.ttrt)
-        self.trace = trace if trace is not None else NullTraceRecorder()
         self._graph_provider = (graph if callable(graph) or graph is None
                                 else (lambda: graph))
         self.children: Dict[int, List[int]] = {u: list(cs) for u, cs in children.items()}
@@ -107,9 +106,8 @@ class TPTNetwork:
         self.rotation_log = RotationLog()
         self.events = EventBus()
         self.metrics = NetworkMetrics().attach(self.events)
-        self._trace_adapter = None
-        if not isinstance(self.trace, NullTraceRecorder):
-            self._trace_adapter = TraceAdapter(self.trace).attach(self.events)
+        if trace is not None:
+            trace.attach(self.events)
         self.events.add_binder(self._bind_emitters)
         self.records: List[RecoveryRecord] = []
         self.token_hops = 0

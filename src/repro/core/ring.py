@@ -33,8 +33,9 @@ Tick ordering (at integer time ``t``):
 Instrumentation
 ---------------
 The network publishes every protocol fact exactly once as a typed event on
-``self.events`` (see :mod:`repro.events`): trace recording, obs metrics,
-fuzz oracles and the delay/deadline accounting in
+``self.events`` (see :mod:`repro.events`), its channel's collisions
+included: trace recording, obs metrics, fuzz oracles and the
+delay/deadline accounting in
 :class:`repro.analysis.netmetrics.NetworkMetrics` are all subscribers.
 Emit sites hold per-event emitter callables (rebound by the bus whenever
 subscriptions change), so an unobserved event costs one no-op call and an
@@ -54,12 +55,12 @@ from repro.core.packet import Packet
 from repro.core.quotas import QuotaConfig
 from repro.core.sat import SAT, RotationLog
 from repro.core.station import WRTRingStation
-from repro.events import EventBus, TraceAdapter
+from repro.events import EventBus
 from repro.events import types as _ev
 from repro.phy.cdma import BROADCAST_CODE, CodeSpace, assign_codes_sequential
 from repro.phy.channel import Frame, SlottedChannel
 from repro.sim.engine import Engine
-from repro.sim.trace import NullTraceRecorder, TraceRecorder
+from repro.sim.trace import TraceRecorder
 
 __all__ = ["WRTRingNetwork", "NetworkMetrics"]
 
@@ -84,19 +85,20 @@ class WRTRingNetwork:
     channel:
         Optional :class:`~repro.phy.channel.SlottedChannel` for the control
         handshakes and (with ``config.validate_phy``) dataplane validation.
+        The network publishes the channel's collisions (and, with
+        ``impairments``, its frame drops) on its bus; on a channel shared
+        by several networks, the last one built publishes them.
     codes:
         Optional :class:`~repro.phy.cdma.CodeSpace`; defaults to sequential
         unique codes, the paper's base assumption.
     trace:
-        Optional :class:`~repro.sim.trace.TraceRecorder`.  When given (and
-        not a null recorder) the network attaches a
-        :class:`~repro.events.TraceAdapter` rendering its events into the
-        legacy trace-record stream.
+        Optional :class:`~repro.sim.trace.TraceRecorder`, attached to the
+        network's bus.
     events:
         Optional :class:`~repro.events.EventBus` to publish on.  By default
         the network owns a fresh bus.  A caller providing a shared bus is
-        responsible for any trace adapter on it (the network only attaches
-        one to a bus it owns, so a shared trace never records twice).
+        responsible for attaching any trace to it (the network only
+        attaches ``trace`` to a bus it owns).
     impairments:
         Optional :class:`~repro.phy.impairments.ChannelImpairments` loss
         oracle.  When given, ring dataplane hops and SAT/SAT_REC hand-offs
@@ -123,7 +125,7 @@ class WRTRingNetwork:
 
         self.engine = engine
         self.config = config
-        self.trace = trace if trace is not None else NullTraceRecorder()
+        self.trace = trace
         self._graph_provider = (graph if callable(graph) or graph is None
                                 else (lambda: graph))
         self.channel = channel
@@ -136,6 +138,8 @@ class WRTRingNetwork:
 
         self.sat = SAT()
         self._sat_lost = False
+        #: control-signal losses so far (every :meth:`drop_sat`)
+        self.sat_losses = 0
         self._sat_bound_cache = None
         self._sat_seq = 0
         self.rotation_log = RotationLog()
@@ -153,9 +157,11 @@ class WRTRingNetwork:
         #: consulted for dataplane hops and SAT/SAT_REC hand-offs, and
         #: installed on the channel so control frames share the loss oracle
         self.impairments = impairments
-        if channel is not None and impairments is not None:
-            channel.impairments = impairments
-            channel.drop_hook = self._on_frame_dropped
+        if channel is not None:
+            channel.collision_hook = self._on_collision
+            if impairments is not None:
+                channel.impairments = impairments
+                channel.drop_hook = self._on_frame_dropped
 
         self.pause_until: float = float("-inf")   # RAP pause window end
         self.rebuilding_until: Optional[float] = None
@@ -170,13 +176,11 @@ class WRTRingNetwork:
         self._delivery_callbacks: Dict[int, Callable[[Packet, float], None]] = {}
 
         # the event spine: analysis metrics subscribe first (so on fanned-out
-        # events the accounting runs before the trace record, matching the
-        # legacy inline order), then the trace adapter
+        # events the accounting runs before the trace record), then the trace
         self.events = events if events is not None else EventBus()
         self.metrics = NetworkMetrics().attach(self.events)
-        self._trace_adapter: Optional[TraceAdapter] = None
-        if events is None and not isinstance(self.trace, NullTraceRecorder):
-            self._trace_adapter = TraceAdapter(self.trace).attach(self.events)
+        if events is None and trace is not None:
+            trace.attach(self.events)
         self.events.add_binder(self._bind_emitters)
 
         #: opt-in RFC 6298 SAT timers (read by RecoveryManager at
@@ -261,6 +265,7 @@ class WRTRingNetwork:
         self._ev_sat_release = em(_ev.SatRelease)
         self._ev_sat_lost = em(_ev.SatLost)
         self._ev_sat_link_loss = em(_ev.SatLinkLoss)
+        self._ev_collision = em(_ev.PhyCollision)
         self._ev_frame_dropped = em(_ev.FrameDropped)
         self._ev_sat_hop_lost = em(_ev.SatHopLost)
         self._ev_sat_stale = em(_ev.SatStaleDiscarded)
@@ -340,6 +345,7 @@ class WRTRingNetwork:
     def drop_sat(self) -> None:
         """Inject a control-signal loss (Sec. 2.5's trigger)."""
         self._sat_lost = True
+        self.sat_losses += 1
         self.sat.at_station = None
         self.sat.in_flight_to = None
         self.sat.arrival_time = None
@@ -662,6 +668,11 @@ class WRTRingNetwork:
         """Channel drop hook: publish the loss of a control/data frame."""
         self._ev_frame_dropped(t, frame.src, receiver, frame.code,
                                frame.kind, reason)
+
+    def _on_collision(self, t: float, receiver: int, code: int,
+                      senders: tuple) -> None:
+        """Channel collision hook: publish a same-code overlap."""
+        self._ev_collision(t, receiver, code, senders)
 
     def next_sat_seq(self) -> int:
         """Monotone rotation sequence number, stamped on every hand-off."""

@@ -103,9 +103,9 @@ def form_secondary_ring(engine: Engine,
     secondary ring's codes are chosen disjoint from it, so the two rings'
     concurrent transmissions can never collide at any receiver — CDMA
     isolation, which E18 verifies through a shared channel.  By default the
-    secondary ring owns its own event bus (with its own trace adapter when
-    ``trace`` is shared, so both rings' records land in one stream exactly
-    as before); pass ``events`` to publish on a caller-managed bus instead.
+    secondary ring owns its own event bus (a given ``trace`` is attached to
+    it, so one trace shared with the primary ring records both rings); pass
+    ``events`` to publish on a caller-managed bus instead.
 
     Raises :class:`SecondaryRingError` when fewer than two candidates are
     given or no feasible ring exists among them.

@@ -1,4 +1,4 @@
-"""The event spine: typed protocol events + subscriber bus + trace adapter.
+"""The event spine: typed protocol events + subscriber bus.
 
 One dispatch layer between the protocol implementation and everything
 that watches it.  Emit sites (:mod:`repro.core`, :mod:`repro.baselines`,
@@ -10,7 +10,6 @@ checkers and analysis accounting are all subscribers.  See
 """
 
 from repro.events.bus import NULL_EMITTER, EventBus
-from repro.events.trace_adapter import TraceAdapter, traced_category
 from repro.events.types import (
     EVENT_TYPES,
     ProtocolEvent,
@@ -21,8 +20,6 @@ from repro.events.types import (
 __all__ = [
     "EventBus",
     "NULL_EMITTER",
-    "TraceAdapter",
-    "traced_category",
     "ProtocolEvent",
     "EVENT_TYPES",
     "schema",

@@ -15,7 +15,7 @@ The emitter callable is specialised to the current subscriber count:
   Disabled cost is one attribute load + no-op call (~0.1 µs); sites that
   would do work just to build the event arguments guard with the falsy
   check (``if self._ev_occupancy: ...``) instead, which is cheaper still.
-* **1 subscriber** (the common case: the trace adapter, or metrics) → a
+* **1 subscriber** (the common case: a trace writer, or metrics) → a
   closure that constructs the typed event and calls the one callback.
 * **N subscribers** → a closure fanning out over a tuple of callbacks.
 
@@ -29,6 +29,7 @@ re-fetching a dozen emitters is negligible.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Type
 
 from repro.events.types import ProtocolEvent
@@ -75,16 +76,17 @@ class EventBus:
             raise TypeError(f"not an event type: {etype!r}")
         self._subs.setdefault(etype, []).append(callback)
         self._notify()
+        return partial(self.unsubscribe, etype, callback)
 
-        def unsubscribe() -> None:
-            subs = self._subs.get(etype)
-            if subs and callback in subs:
-                subs.remove(callback)
-                if not subs:
-                    del self._subs[etype]
-                self._notify()
-
-        return unsubscribe
+    def unsubscribe(self, etype: Type[ProtocolEvent],
+                    callback: Callable[[ProtocolEvent], None]) -> None:
+        """Remove *callback* from *etype*'s subscribers (no-op if absent)."""
+        subs = self._subs.get(etype)
+        if subs and callback in subs:
+            subs.remove(callback)
+            if not subs:
+                del self._subs[etype]
+            self._notify()
 
     def subscriber_count(self, etype: Type[ProtocolEvent]) -> int:
         return len(self._subs.get(etype, ()))

@@ -38,7 +38,7 @@ __all__ = ["RingShard"]
 class _FramePacket:
     """Packet-shaped shim for gateway events when no ring packet exists
     (a frame buffered or destroyed without a ring leg); carries only the
-    pid-free fields the trace adapter renders."""
+    pid-free fields the gateway trace records render."""
 
     __slots__ = ("src", "dst", "service")
 
@@ -64,6 +64,7 @@ class RingShard:
         self.engine = self.result.engine
         self.trace = self.result.trace
         if not trace:
+            # unsubscribes every trace writer: the events are not built
             self.trace.enable_only(())
         #: neighbour ring -> gateway link
         self.links = dict(topo.ring_neighbours()[ring])

@@ -291,7 +291,7 @@ def rotation_bound_applies(net, scenario_dict: Dict[str, Any]) -> bool:
         return False
     return (not net.recovery.records
             and net.recovery.ring_rebuilds == 0
-            and net.trace.count("sat.lost") == 0
+            and net.sat_losses == 0
             and not net.network_down)
 
 

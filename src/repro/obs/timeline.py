@@ -56,17 +56,10 @@ _TID_RAP = 1
 _TID_STATION_BASE = 10   # station s renders on tid 10 + s
 
 
-def enable_timeline_categories(trace, net=None) -> None:
-    """Enable the opt-in categories the timeline needs on ``trace``.
-
-    Pass the network as well so its trace adapter re-checks which event
-    subscriptions the now-enabled categories need (``slot.occupancy`` is
-    only emitted — and its per-tick busy count only computed — while the
-    adapter subscribes to it).
-    """
+def enable_timeline_categories(trace) -> None:
+    """Enable the opt-in categories the timeline needs on ``trace`` (which
+    subscribes their writers on every bus it is attached to)."""
     trace.enable(*TIMELINE_CATEGORIES)
-    if net is not None and getattr(net, "_trace_adapter", None) is not None:
-        net._trace_adapter.refresh(net.events)
 
 
 def _meta(pid: int, name: str, tid: Optional[int] = None,

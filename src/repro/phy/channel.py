@@ -23,7 +23,6 @@ from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.phy.cdma import BROADCAST_CODE
 from repro.phy.topology import ConnectivityGraph
-from repro.sim.trace import NullTraceRecorder, TraceRecorder
 
 __all__ = ["Frame", "CollisionRecord", "SlottedChannel"]
 
@@ -66,13 +65,12 @@ class SlottedChannel:
     connectivity is recomputed as stations move).
     """
 
-    def __init__(self, graph, trace: Optional[TraceRecorder] = None):
+    def __init__(self, graph):
         self._graph_provider: Callable[[], ConnectivityGraph]
         if callable(graph):
             self._graph_provider = graph
         else:
             self._graph_provider = lambda: graph
-        self.trace = trace if trace is not None else NullTraceRecorder()
         self._listen_codes: Dict[int, Set[int]] = {}
         self._pending: List[Frame] = []
         self.collisions: List[CollisionRecord] = []
@@ -84,6 +82,9 @@ class SlottedChannel:
         #: ``drop_hook(time, frame, receiver, reason)`` — called once per
         #: impairment drop so the owning network can emit a bus event
         self.drop_hook: Optional[Callable[[float, Frame, int, str], None]] = None
+        #: ``collision_hook(time, receiver, code, senders)`` — called once
+        #: per collision record, likewise
+        self.collision_hook: Optional[Callable[..., None]] = None
         #: when True, per-network ``resolve_slot`` calls are no-ops and an
         #: external pump (e.g. :class:`repro.core.secondary.SharedChannelPump`)
         #: resolves once per slot after *all* co-located networks have
@@ -120,8 +121,8 @@ class SlottedChannel:
         """Resolve all transmissions of the closing slot.
 
         Returns ``{receiver_station: [delivered frames]}``.  Collisions are
-        appended to :attr:`collisions` and traced under category
-        ``"phy.collision"``.  A no-op while :attr:`external_pump` is set —
+        appended to :attr:`collisions` and reported to
+        :attr:`collision_hook`.  A no-op while :attr:`external_pump` is set —
         the pump calls :meth:`force_resolve_slot` once per slot instead.
         """
         if self.external_pump:
@@ -172,9 +173,8 @@ class SlottedChannel:
                         tuple(sorted(fr.src for fr in audible)))
                     self.collisions.append(rec)
                     self.stats.collisions += 1
-                    self.trace.record(time, "phy.collision",
-                                      receiver=station, code=code,
-                                      senders=rec.senders)
+                    if self.collision_hook is not None:
+                        self.collision_hook(time, station, code, rec.senders)
         return deliveries
 
     def _impaired(self, imp, time: float, fr: Frame, receiver: int) -> bool:

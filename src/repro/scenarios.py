@@ -415,7 +415,7 @@ def build_scenario(scenario: Scenario) -> ScenarioResult:
         # a mobile network keeps trying to re-form when geometry recovers
         rebuild_retry_limit=(10_000 if mob_spec is not None else 1),
     )
-    channel = (SlottedChannel(graph_provider, trace=trace)
+    channel = (SlottedChannel(graph_provider)
                if (scenario.use_channel or scenario.validate_phy) else None)
     impairments = None
     if scenario.impairments is not None and scenario.impairments.enabled:

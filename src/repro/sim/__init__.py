@@ -16,7 +16,7 @@ from repro.sim.engine import Engine, EventHandle, SimulationError, SchedulingErr
 from repro.sim.process import Process, Signal, Timeout, Interrupt
 from repro.sim.timers import Timer, PeriodicTimer
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import TraceRecorder, NullTraceRecorder, TraceEvent
+from repro.sim.trace import TraceRecorder, TraceEvent
 
 __all__ = [
     "Engine",
@@ -31,6 +31,5 @@ __all__ = [
     "PeriodicTimer",
     "RandomStreams",
     "TraceRecorder",
-    "NullTraceRecorder",
     "TraceEvent",
 ]

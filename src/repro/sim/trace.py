@@ -4,21 +4,16 @@ Protocol debugging and several experiments (e.g. measuring SAT rotation
 samples, counting link crossings per control-signal round, timing recovery
 procedures) need a cheap, queryable record of what happened and when.
 
-:class:`TraceRecorder` stores :class:`TraceEvent` records and supports
-category filtering at record time (so hot loops pay ~one dict lookup for
-disabled categories) and simple querying.  A per-category index is
-maintained at record time, so category-filtered queries (``select``,
-``times``, ``last``, ``count``) cost O(matches) instead of a full scan of
-the trace — repeated selects on large traces used to dominate analysis
-passes.  :class:`NullTraceRecorder` is a zero-cost stand-in for
-production-speed runs.
-
-Categories listed in :attr:`TraceRecorder.OPT_IN` are *disabled by
-default* and must be switched on explicitly (``trace.enable(...)``): they
-are high-volume diagnostics (per-tick slot occupancy, per-visit SAT
-arrivals) that only the timeline exporter needs, and recording them
-unconditionally would bloat steady-state traces and change fuzz trace
-hashes.
+:class:`TraceRecorder` stores :class:`TraceEvent` records, indexed by
+category at record time so ``select``/``times``/``last``/``count`` cost
+O(matches) instead of a full scan.  ``recorder.attach(bus)`` subscribes one
+*writer* per enabled traced event type, which appends the record the type
+declares (:class:`~repro.events.types.TraceSpec`).  The category switches
+(``enable``, ``disable``, ``enable_only``) re-sync those writers on every
+attached bus: a disabled category costs its emit sites nothing, and nothing
+is filtered at record time.  Opt-in categories (per-tick slot occupancy,
+per-visit SAT arrivals; only the timeline needs them) stay off until
+enabled by name.
 """
 
 from __future__ import annotations
@@ -26,10 +21,16 @@ from __future__ import annotations
 import json
 import json.encoder
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence)
+                    Sequence, Tuple)
 
-__all__ = ["TraceEvent", "TraceRecorder", "NullTraceRecorder",
-           "chunk_encoder"]
+from repro.events.types import EVENT_TYPES
+
+__all__ = ["TraceEvent", "TraceRecorder", "chunk_encoder"]
+
+#: every event type that declares a trace record, in schema order
+_TRACED = tuple(cls for cls in EVENT_TYPES if cls.trace is not None)
+#: categories that are recorded only when explicitly enabled
+_OPT_IN = frozenset(cls.trace.category for cls in _TRACED if cls.trace.opt_in)
 
 
 class TraceEvent:
@@ -88,23 +89,33 @@ def chunk_encoder(**dumps_kwargs: Any) -> Callable[[Any], Sequence[str]]:
     return lambda obj: c_encode(obj, 0)
 
 
+def _writer(etype, record_fields: Callable) -> Callable:
+    """The bus subscriber writing *etype*'s declared record."""
+    def write(ev, _record=record_fields, _category=etype.trace.category):
+        fields = ev.trace_fields()
+        if fields is not None:
+            _record(ev.t, _category, fields)
+
+    return write
+
+
 class TraceRecorder:
     """Append-only in-memory trace with per-category enable switches.
 
-    By default every category is enabled.  ``enable_only(...)`` restricts
-    recording to the listed categories; ``disable(...)`` turns categories off
-    individually.
+    By default every category except the opt-in ones is enabled.
+    ``enable_only(...)`` restricts recording to the listed categories;
+    ``disable(...)``/``enable(...)`` switch categories individually.
     """
 
-    #: categories that are recorded only when explicitly enabled
-    OPT_IN = frozenset({"slot.occupancy", "sat.arrive"})
-
-    def __init__(self, enabled: bool = True):
+    def __init__(self) -> None:
         self.events: List[TraceEvent] = []
-        self._globally_enabled = enabled
-        self._category_enabled: Dict[str, bool] = {c: False for c in self.OPT_IN}
-        self._default_enabled = True
         self._by_category: Dict[str, List[TraceEvent]] = {}
+        self._category_enabled: Dict[str, bool] = {}
+        self._default_enabled = True
+        #: (bus, {event type: its subscribed writer}) per attached bus; the
+        #: writers, not unsubscribe handles: a handle per type and network
+        #: measurably raised peak memory over many short runs
+        self._buses: List[Tuple[Any, Dict[type, Callable]]] = []
 
     # ------------------------------------------------------------------
     # configuration
@@ -112,35 +123,51 @@ class TraceRecorder:
     def enable_only(self, categories: Iterable[str]) -> None:
         self._default_enabled = False
         self._category_enabled = {c: True for c in categories}
+        self._sync()
 
     def disable(self, *categories: str) -> None:
         for c in categories:
             self._category_enabled[c] = False
+        self._sync()
 
     def enable(self, *categories: str) -> None:
         for c in categories:
             self._category_enabled[c] = True
+        self._sync()
 
     def is_enabled(self, category: str) -> bool:
-        if not self._globally_enabled:
-            return False
-        return self._category_enabled.get(category, self._default_enabled)
+        return self._category_enabled.get(
+            category, self._default_enabled and category not in _OPT_IN)
 
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
+    def attach(self, bus) -> "TraceRecorder":
+        """Record *bus*'s events: one writer per enabled traced type, kept
+        in step with the category switches (a second attach is a no-op)."""
+        if all(attached is not bus for attached, _ in self._buses):
+            self._buses.append((bus, {}))
+            self._sync()
+        return self
+
+    def _sync(self) -> None:
+        record = self.record_fields
+        for bus, writers in self._buses:
+            for etype in _TRACED:
+                enabled = self.is_enabled(etype.trace.category)
+                writer = writers.get(etype)
+                if enabled and writer is None:
+                    writers[etype] = writer = _writer(etype, record)
+                    bus.subscribe(etype, writer)
+                elif not enabled and writer is not None:
+                    bus.unsubscribe(etype, writers.pop(etype))
+
     def record(self, time: float, category: str, /, **fields: Any) -> None:
         self.record_fields(time, category, fields)
 
     def record_fields(self, time: float, category: str,
                       fields: Dict[str, Any]) -> None:
-        """Like :meth:`record` but takes the field dict directly (the hot
-        path for the event-bus trace adapter — no kwargs repack).  The
-        recorder takes ownership of *fields*."""
-        # is_enabled, inlined: this runs once per traced event
-        if not (self._globally_enabled and self._category_enabled.get(
-                category, self._default_enabled)):
-            return
+        """Append one record (unfiltered); takes ownership of *fields*."""
         event = TraceEvent(time, category, fields)
         self.events.append(event)
         bucket = self._by_category.get(category)
@@ -214,14 +241,11 @@ class TraceRecorder:
         """Reload a trace exported with :meth:`to_jsonl`.
 
         Reads both the namespaced format and the legacy flat layout (fields
-        spread beside ``time``/``category``) from older exports.  The export
-        holds only categories that were enabled when it was recorded, so the
-        reloaded recorder enables the opt-in ones too and keeps every record.
+        spread beside ``time``/``category``) from older exports.
         """
         from pathlib import Path
 
         recorder = TraceRecorder()
-        recorder.enable(*TraceRecorder.OPT_IN)
         with Path(path).open() as fh:
             for line in fh:
                 data = json.loads(line)
@@ -239,20 +263,3 @@ class TraceRecorder:
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
-
-
-class NullTraceRecorder(TraceRecorder):
-    """Recorder that drops everything; safe to pass anywhere a recorder goes."""
-
-    def __init__(self) -> None:
-        super().__init__(enabled=False)
-
-    def record(self, time: float, category: str, /, **fields: Any) -> None:  # noqa: D102
-        return None
-
-    def record_fields(self, time: float, category: str,
-                      fields: Dict[str, Any]) -> None:  # noqa: D102
-        return None
-
-    def is_enabled(self, category: str) -> bool:  # noqa: D102
-        return False

@@ -9,6 +9,12 @@ dataclasses (``core``, ``phy``, ``qoe``, ``sim``, ``events``) state their
 dict form as plain field metadata and never import the codec above them,
 ``repro.config_io``.  Enforced statically (AST walk over the source tree)
 so a violation fails even if the import is unused or lazy.
+
+Trace records have one writer path too: events reach a recorder through
+the writers :meth:`repro.sim.trace.TraceRecorder.attach` subscribes, so
+only :mod:`repro.sim.trace` (its writers and ``TraceRecorder.from_jsonl``)
+and the fabric's trace re-hydration (:mod:`repro.fabric.merge`) may call
+``record``/``record_fields``.
 """
 
 import ast
@@ -57,3 +63,23 @@ def test_layer_never_imports_subscribers(package):
 def test_contract_covers_real_packages():
     for package in CONTRACTS:
         assert (SRC / package).is_dir(), package
+
+
+#: the only modules that may append trace records directly
+RECORD_WRITERS = ("sim/trace.py", "fabric/merge.py")
+
+
+def test_trace_records_written_only_by_the_trace_module():
+    violations = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel in RECORD_WRITERS:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("record", "record_fields")):
+                violations.append(f"{rel}:{node.lineno} calls "
+                                  f".{node.func.attr}(...)")
+    assert not violations, "\n".join(violations)

@@ -1,10 +1,10 @@
-"""The event spine: bus mechanics, trace-adapter parity, schema docs.
+"""The event spine: bus mechanics, declared trace records, schema docs.
 
-The compatibility contract under test: the typed event layer plus the
-trace adapter must reproduce the pre-spine trace stream *byte for byte*,
-so the checked-in fuzz corpus bundles (whose ``trace_hash`` fields were
-recorded against the old inline ``trace.record`` calls) replay with
-identical hashes.
+The compatibility contract under test: the typed event layer plus each
+event type's declared trace record must reproduce the pre-spine trace
+stream *byte for byte*, so the checked-in fuzz corpus bundles (whose
+``trace_hash`` fields were recorded against the old inline
+``trace.record`` calls) replay with identical hashes.
 """
 
 import json
@@ -13,20 +13,16 @@ from pathlib import Path
 import pytest
 
 from repro.core import Packet, ServiceClass, WRTRingConfig, WRTRingNetwork
-from repro.events import (EVENT_TYPES, EventBus, NULL_EMITTER, TraceAdapter,
-                          render_markdown, schema, traced_category)
+from repro.events import (EVENT_TYPES, EventBus, NULL_EMITTER,
+                          render_markdown, schema)
 from repro.events import types as ev
 from repro.events.types import ProtocolEvent
 from repro.fuzz import load_bundle, verify_bundle
 from repro.sim import Engine
-from repro.sim.trace import NullTraceRecorder, TraceRecorder
+from repro.sim.trace import TraceRecorder
 
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.json"))
 EVENTS_DOC = Path(__file__).parent.parent / "docs" / "EVENTS.md"
-
-#: trace categories written directly by non-spine layers (the channel's
-#: physical-layer records are not protocol events)
-NON_SPINE_CATEGORIES = {"phy.collision"}
 
 
 def ring_net(n=6, trace=None, events=None, **cfg_kwargs):
@@ -90,7 +86,7 @@ class TestEventBus:
             bus.subscribe(dict, lambda e: None)
 
 
-class TestTraceAdapter:
+class TestTraceWriters:
     def _pkt(self, src=0, dst=1):
         return Packet(src=src, dst=dst, service=ServiceClass.PREMIUM,
                       created=0.0)
@@ -98,7 +94,7 @@ class TestTraceAdapter:
     def attached(self):
         trace = TraceRecorder()
         bus = EventBus()
-        TraceAdapter(trace).attach(bus)
+        trace.attach(bus)
         return trace, bus
 
     def test_direct_event_renders_legacy_record(self):
@@ -138,16 +134,55 @@ class TestTraceAdapter:
                                           "duplicate": 7}
 
     def test_occupancy_subscription_follows_trace_enablement(self):
-        trace = TraceRecorder()       # slot.occupancy is opt-in: disabled
-        bus = EventBus()
-        adapter = TraceAdapter(trace).attach(bus)
+        trace, bus = self.attached()  # slot.occupancy is opt-in: disabled
         assert bus.emitter(ev.SlotOccupancy) is NULL_EMITTER
         trace.enable("slot.occupancy")
-        adapter.refresh(bus)
         emit = bus.emitter(ev.SlotOccupancy)
         assert emit
         emit(4.0, 3, 8)
         assert trace.count("slot.occupancy") == 1
+        trace.disable("slot.occupancy")
+        assert bus.emitter(ev.SlotOccupancy) is NULL_EMITTER
+
+    def test_gateway_records_render_packet_coordinates(self):
+        trace, bus = self.attached()
+        pkt = self._pkt(src=3, dst=8)
+        bus.emitter(ev.GatewayForward)(1.0, 5, "ring_to_lan", pkt)
+        bus.emitter(ev.GatewayDrop)(2.0, 5, "lan_to_ring", "overflow", pkt)
+        assert [(e.category, e.fields) for e in trace.events] == [
+            ("gw.forward", {"gateway": 5, "direction": "ring_to_lan",
+                            "src": 3, "dst": 8, "service": "RT"}),
+            ("gw.drop", {"gateway": 5, "direction": "lan_to_ring",
+                         "reason": "overflow", "src": 3, "dst": 8,
+                         "service": "RT"})]
+
+    def test_attach_twice_records_once(self):
+        trace, bus = self.attached()
+        trace.attach(bus)
+        bus.emitter(ev.SatRelease)(7.0, 3, 4)
+        assert len(trace) == 1
+
+    def test_switches_resync_every_attached_bus(self):
+        trace, bus_a = self.attached()
+        bus_b = EventBus()
+        trace.attach(bus_b)
+        trace.disable("sat.release")
+        for bus in (bus_a, bus_b):
+            assert bus.emitter(ev.SatRelease) is NULL_EMITTER
+        trace.enable("sat.release")
+        bus_a.emitter(ev.SatRelease)(1.0, 0, 1)
+        bus_b.emitter(ev.SatRelease)(2.0, 1, 2)
+        assert trace.times("sat.release") == [1.0, 2.0]
+
+    def test_enable_only_nothing_subscribes_no_writer(self):
+        """The fabric's ``trace=False`` path: no traced event type keeps a
+        trace subscriber, so no traced event is even built for it."""
+        _, untraced = ring_net()
+        _, net = ring_net(trace=TraceRecorder())
+        net.trace.enable_only(())
+        for etype in EVENT_TYPES:
+            assert (net.events.subscriber_count(etype)
+                    == untraced.events.subscriber_count(etype)), etype
 
     def test_untraced_events_write_nothing(self):
         trace, bus = self.attached()
@@ -160,30 +195,35 @@ class TestTraceAdapter:
 
 class TestNetworkWiring:
     def test_network_owns_bus_and_adapter_by_default(self):
+        _, untraced = ring_net()
         _, net = ring_net(trace=TraceRecorder())
         assert isinstance(net.events, EventBus)
-        assert net._trace_adapter is not None
+        # the trace's writer rides on the network's own bus
+        assert (net.events.subscriber_count(ev.SatRelease)
+                == untraced.events.subscriber_count(ev.SatRelease) + 1)
 
     def test_null_trace_skips_adapter(self):
-        _, net = ring_net()      # defaults to NullTraceRecorder
-        assert isinstance(net.trace, NullTraceRecorder)
-        assert net._trace_adapter is None
+        _, net = ring_net()      # no trace: no writer subscribes
+        assert net.trace is None
+        assert net.events.emitter(ev.SatRelease) is NULL_EMITTER
 
     def test_external_bus_is_used_and_not_adapted(self):
         bus = EventBus()
         delivered = []
         bus.subscribe(ev.SlotDeliver, delivered.append)
-        engine, net = ring_net(trace=TraceRecorder(), events=bus)
+        trace = TraceRecorder()
+        engine, net = ring_net(trace=trace, events=bus)
         assert net.events is bus
         # caller-owned bus: the caller decides what subscribes, the
-        # network must not silently attach its trace adapter
-        assert net._trace_adapter is None
+        # network must not silently attach its trace
+        assert bus.emitter(ev.SatRelease) is NULL_EMITTER
         net.enqueue(Packet(src=0, dst=1, service=ServiceClass.PREMIUM,
                            created=0.0))
         net.start()
         engine.run(until=200)
         assert len(delivered) >= 1
         assert delivered[0].station == 1
+        assert len(trace) == 0
 
     def test_metrics_fed_solely_by_bus(self):
         engine, net = ring_net()
@@ -198,9 +238,9 @@ class TestNetworkWiring:
 
 
 class TestCorpusParity:
-    """The satellite acceptance test: every checked-in repro bundle —
-    recorded before the event spine existed — must replay through the
-    adapter to a byte-identical trace hash."""
+    """Every checked-in repro bundle — recorded before the event spine
+    existed — must replay through the declared trace records to a
+    byte-identical trace hash."""
 
     def test_corpus_present(self):
         assert len(CORPUS) >= 4
@@ -230,21 +270,22 @@ class TestSchemaAndDocs:
         assert render_markdown() in EVENTS_DOC.read_text()
 
     def test_schema_trace_column_matches_adapter(self):
+        """The schema's trace column is read off each type's declaration."""
         for rec, cls in zip(schema(), EVENT_TYPES):
-            assert rec["trace"] == traced_category(cls)
+            if cls.trace is None:
+                assert rec["trace"] is None
+            else:
+                assert rec["trace"].split(" ")[0] == cls.trace.category
 
     @pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
     def test_replayed_trace_categories_covered_by_schema(self, path):
-        """Every category a real run records is either declared by an event
-        type's trace mapping or written by a non-spine layer."""
-        traced = set()
-        for cls in EVENT_TYPES:
-            cat = traced_category(cls)
-            if cat is not None:
-                traced.add(cat.split(" ")[0])
+        """Every category a real run records is declared by an event
+        type's trace record: nothing bypasses the bus."""
+        traced = {cls.trace.category for cls in EVENT_TYPES
+                  if cls.trace is not None}
         _, result, _ = verify_bundle(path)
         emitted = {e.category for e in result.built.trace.events}
-        assert emitted - traced - NON_SPINE_CATEGORIES == set()
+        assert emitted - traced == set()
 
     def test_event_classes_are_slotted(self):
         for cls in EVENT_TYPES:

@@ -95,6 +95,26 @@ class TestRunner:
         assert isinstance(record["trace_hash"], str)
 
 
+class TestOracleApplicability:
+    def test_rotation_oracle_ignores_trace_settings(self):
+        """A late SAT loss voids Theorem 1 whether or not ``sat.lost`` is
+        being traced: the oracle counts losses on the network."""
+        from repro.fuzz.oracles import rotation_bound_applies
+        from repro.scenarios import Scenario, build_scenario
+
+        verdicts = []
+        for traced in (True, False):
+            built = build_scenario(Scenario(n=6, horizon=300.0, seed=2))
+            if not traced:
+                built.trace.disable("sat.lost")
+            built.engine.run(until=298.0)
+            built.network.drop_sat()
+            built.engine.run(until=300.0)
+            assert not built.network.recovery.records   # not yet detected
+            verdicts.append(rotation_bound_applies(built.network, {}))
+        assert verdicts == [False, False]
+
+
 # ----------------------------------------------------------------------
 # regression: remove_station loses class-queue packets (pre-fix)
 # ----------------------------------------------------------------------

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.events import EventBus
+from repro.events.types import SatArrive, SlotOccupancy
 from repro.obs import (Profiler, build_timeline, enable_timeline_categories,
                        export_timeline)
 from repro.obs.timeline import US_PER_SLOT
@@ -166,7 +168,7 @@ class TestExportTimeline:
             n=6, horizon=2000.0, seed=3, rap_enabled=True,
             traffic=TrafficMix(kind="poisson", rate=0.05),
             faults=schedule))
-        enable_timeline_categories(built.trace, built.network)
+        enable_timeline_categories(built.trace)
         built.engine.run(until=2000.0)
 
         path = tmp_path / "run.json"
@@ -192,15 +194,20 @@ class TestExportTimeline:
 
 
 class TestOptInCategories:
+    @staticmethod
+    def emit_both(trace):
+        bus = EventBus()
+        trace.attach(bus)
+        bus.emitter(SlotOccupancy)(1.0, 1, 4)
+        bus.emitter(SatArrive)(1.0, 0, "SAT")
+
     def test_timeline_categories_off_by_default(self):
         trace = TraceRecorder()
-        trace.record(1.0, "slot.occupancy", busy=1, capacity=4)
-        trace.record(1.0, "sat.arrive", station=0)
+        self.emit_both(trace)
         assert len(trace) == 0
 
     def test_enable_timeline_categories_switches_them_on(self):
         trace = TraceRecorder()
         enable_timeline_categories(trace)
-        trace.record(1.0, "slot.occupancy", busy=1, capacity=4)
-        trace.record(1.0, "sat.arrive", station=0)
+        self.emit_both(trace)
         assert len(trace) == 2

@@ -126,14 +126,25 @@ class TestFig1Scenario:
         assert rec.receiver == 1 and rec.senders == (0, 2)
 
     def test_collision_traced(self):
+        """The owning network publishes the channel's collisions on its
+        bus, where its trace records them."""
+        from repro.core import WRTRingConfig, WRTRingNetwork
+        from repro.sim import Engine
+
         tr = TraceRecorder()
-        ch = SlottedChannel(self.g, trace=tr)
-        ch.register_listener(1, {9})
-        ch.transmit(Frame(src=0, code=9, payload="p"))
-        ch.transmit(Frame(src=2, code=9, payload="q"))
+        ch = SlottedChannel(self.g)
+        cfg = WRTRingConfig.homogeneous(range(4), l=1, k=1,
+                                        rap_enabled=False)
+        net = WRTRingNetwork(Engine(), [0, 1, 2, 3], cfg, graph=self.g,
+                             channel=ch, trace=tr)
+        code = net.codes.code_of(1)
+        ch.transmit(Frame(src=0, code=code, payload="p"))
+        ch.transmit(Frame(src=2, code=code, payload="q"))
         ch.resolve_slot(4.0)
         assert tr.count("phy.collision") == 1
         assert tr.last("phy.collision")["receiver"] == 1
+        assert tr.last("phy.collision").fields == {
+            "receiver": 1, "code": code, "senders": (0, 2)}
 
 
 class TestDynamicGraph:

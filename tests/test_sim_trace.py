@@ -2,7 +2,26 @@
 
 import pytest
 
-from repro.sim import TraceEvent, TraceRecorder, NullTraceRecorder
+from repro.events import EVENT_TYPES, EventBus
+from repro.events import types as ev
+from repro.sim import TraceEvent, TraceRecorder
+
+#: event types whose trace category is opt-in
+OPT_IN_TYPES = [cls for cls in EVENT_TYPES
+                if cls.trace is not None and cls.trace.opt_in]
+
+
+def attached(trace=None):
+    """A recorder attached to a fresh bus, and an ``emit(etype, ...)``."""
+    trace = trace if trace is not None else TraceRecorder()
+    bus = EventBus()
+    trace.attach(bus)
+
+    def emit(etype, *args):
+        # filler payload: the time, then the field positions
+        bus.emitter(etype)(*(args or range(len(etype.payload))))
+
+    return trace, emit
 
 
 class TestRecording:
@@ -83,32 +102,96 @@ class TestTraceEvent:
 
 
 class TestFiltering:
+    """Category switches act on the writers subscribed to the bus."""
+
     def test_enable_only(self):
-        tr = TraceRecorder()
-        tr.enable_only(["keep"])
-        tr.record(1.0, "keep")
-        tr.record(1.0, "drop")
-        assert tr.count("keep") == 1
-        assert tr.count("drop") == 0
+        tr, emit = attached()
+        tr.enable_only(["sat.release"])
+        emit(ev.SatRelease)
+        emit(ev.SatLost)
+        assert tr.count("sat.release") == 1
+        assert tr.count("sat.lost") == 0
 
     def test_disable_specific(self):
-        tr = TraceRecorder()
-        tr.disable("noisy")
-        tr.record(1.0, "noisy")
-        tr.record(1.0, "quiet")
+        tr, emit = attached()
+        tr.disable("sat.lost")
+        emit(ev.SatLost)
+        emit(ev.SatRelease)
         assert len(tr) == 1
 
     def test_reenable(self):
-        tr = TraceRecorder()
-        tr.disable("c")
-        tr.enable("c")
-        tr.record(1.0, "c")
-        assert tr.count("c") == 1
+        tr, emit = attached()
+        tr.disable("sat.lost")
+        tr.enable("sat.lost")
+        emit(ev.SatLost)
+        assert tr.count("sat.lost") == 1
 
     def test_globally_disabled(self):
-        tr = TraceRecorder(enabled=False)
-        tr.record(1.0, "x")
+        tr, emit = attached()
+        tr.enable_only(())
+        for etype in EVENT_TYPES:
+            emit(etype)
         assert len(tr) == 0
+
+    def test_switches_set_before_attach_apply(self):
+        tr = TraceRecorder()
+        tr.enable_only(["sat.lost"])
+        tr, emit = attached(tr)
+        emit(ev.SatLost)
+        emit(ev.SatRelease)
+        assert [e.category for e in tr] == ["sat.lost"]
+
+    def test_enable_after_build_records_every_later_arrival(self):
+        """Enabling an opt-in category on a built scenario subscribes its
+        writer on the network's bus: no second call is needed."""
+        from repro.scenarios import Scenario, build_scenario
+
+        built = build_scenario(Scenario(n=6, horizon=300.0, seed=1))
+        arrivals = []
+        built.network.events.subscribe(ev.SatArrive,
+                                       lambda e: arrivals.append(e.t))
+        built.trace.enable("sat.arrive")
+        built.engine.run(until=300.0)
+        assert len(arrivals) >= 250
+        assert built.trace.times("sat.arrive") == arrivals
+
+    def test_traced_and_untraced_runs_take_the_same_path(self):
+        """Watching a run changes no outcome: every category on (opt-in
+        ones included) versus no writer subscribed at all."""
+        from repro.faults import FaultSchedule
+        from repro.obs import enable_timeline_categories
+        from repro.scenarios import Scenario, TrafficMix, build_scenario
+
+        def run(traced):
+            built = build_scenario(Scenario(
+                n=6, horizon=1500.0, seed=4, rap_enabled=True,
+                traffic=TrafficMix(kind="poisson", rate=0.05),
+                faults=FaultSchedule.builder().kill(2, at=600).build()))
+            if traced:
+                enable_timeline_categories(built.trace)
+            else:
+                built.trace.enable_only(())
+            built.engine.run(until=1500.0)
+            return built
+
+        traced, untraced = run(True), run(False)
+        assert len(traced.trace) > 1000 and len(untraced.trace) == 0
+        assert (traced.engine.events_executed
+                == untraced.engine.events_executed)
+        assert traced.summary() == untraced.summary()
+        assert (_state(traced.network.metrics)
+                == _state(untraced.network.metrics))
+
+
+def _state(obj):
+    """An object's attribute tree as plain values (for equality)."""
+    if hasattr(obj, "__dict__"):
+        return {k: _state(v) for k, v in vars(obj).items()}
+    if isinstance(obj, dict):
+        return {k: _state(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_state(v) for v in obj]
+    return obj
 
 
 class TestCategoryIndex:
@@ -149,29 +232,30 @@ class TestCategoryIndex:
 
 class TestOptInCategories:
     def test_opt_in_disabled_by_default(self):
-        tr = TraceRecorder()
-        for category in TraceRecorder.OPT_IN:
-            assert not tr.is_enabled(category)
-            tr.record(1.0, category)
+        tr, emit = attached()
+        assert OPT_IN_TYPES
+        for etype in OPT_IN_TYPES:
+            assert not tr.is_enabled(etype.trace.category)
+            emit(etype)
         assert len(tr) == 0
 
     def test_opt_in_enabled_explicitly(self):
-        tr = TraceRecorder()
-        tr.enable(*TraceRecorder.OPT_IN)
-        for category in TraceRecorder.OPT_IN:
-            tr.record(1.0, category)
-        assert len(tr) == len(TraceRecorder.OPT_IN)
+        tr, emit = attached()
+        tr.enable(*(etype.trace.category for etype in OPT_IN_TYPES))
+        for etype in OPT_IN_TYPES:
+            emit(etype)
+        assert len(tr) == len(OPT_IN_TYPES)
 
     def test_non_opt_in_categories_unaffected(self):
-        tr = TraceRecorder()
-        tr.record(1.0, "sat.release", station=0)
+        tr, emit = attached()
+        emit(ev.SatRelease, 1.0, 0, 1)
         assert tr.count("sat.release") == 1
 
     def test_enable_only_overrides_opt_in_default(self):
-        tr = TraceRecorder()
+        tr, emit = attached()
         tr.enable_only(["slot.occupancy"])
-        tr.record(1.0, "slot.occupancy", busy=1)
-        tr.record(1.0, "sat.release")
+        emit(ev.SlotOccupancy, 1.0, 1, 4)
+        emit(ev.SatRelease)
         assert tr.count("slot.occupancy") == 1
         assert tr.count("sat.release") == 0
 
@@ -239,10 +323,10 @@ class TestExport:
         assert rotations and all(ev["rotation"] == 4.0 for ev in rotations)
 
     def test_opt_in_records_survive_reload(self, tmp_path):
-        tr = TraceRecorder()
+        tr, emit = attached()
         tr.enable("slot.occupancy")
-        tr.record(1.0, "slot.occupancy", busy=1, capacity=4)
-        tr.record(1.0, "sat.release", station=0)
+        emit(ev.SlotOccupancy, 1.0, 1, 4)
+        emit(ev.SatRelease, 1.0, 0, 1)
         path = tmp_path / "trace.jsonl"
         assert tr.to_jsonl(path) == 2
         back = TraceRecorder.from_jsonl(path)
@@ -261,7 +345,7 @@ class TestExport:
             n=6, horizon=1000.0, seed=3, rap_enabled=True,
             traffic=TrafficMix(kind="poisson", rate=0.05),
             faults=FaultSchedule.builder().kill(2, at=400).build()))
-        enable_timeline_categories(built.trace, built.network)
+        enable_timeline_categories(built.trace)
         built.engine.run(until=1000.0)
         assert built.trace.count("slot.occupancy") > 0
         assert built.trace.count("sat.arrive") > 0
@@ -272,12 +356,3 @@ class TestExport:
         assert back.events == built.trace.events
         assert hash_trace(back) == hash_trace(built.trace)
 
-
-class TestNullRecorder:
-    def test_drops_everything(self):
-        tr = NullTraceRecorder()
-        tr.record(1.0, "x", a=1)
-        assert len(tr) == 0
-        assert tr.count("x") == 0
-        assert not tr.is_enabled("x")
-        assert tr.select("x") == []
